@@ -21,7 +21,8 @@ from . import jsonio
 from .model import ModelError, gen_example, parse_policy, validate_model
 from .reduction import build_equivalent_dtmdp
 from .simulate import estimate_value_mc
-from .solver import (OracleGuardError, ValueFunction, bellman_apply,
+from .solver import (DEFAULT_CAP, DEFAULT_MAX_ITERS, DEFAULT_TOL,
+                     OracleGuardError, ValueFunction, bellman_apply,
                      evaluate_policy_iterative, evaluate_policy_linear,
                      finite_horizon_oracle, solve_ctmdp)
 
@@ -35,12 +36,14 @@ EXIT_ORACLE_MISMATCH = 3
 
 @dataclass
 class RunConfig:
+    """One subcommand's inputs; the class defaults are also the CLI's."""
+
     command: str
     model_path: str = None
     policy_path: str = None
-    tol: float = 1e-10
-    max_iters: int = 100_000
-    cap: float = 1e12
+    tol: float = DEFAULT_TOL
+    max_iters: int = DEFAULT_MAX_ITERS
+    cap: float = DEFAULT_CAP
     n_trajectories: int = 100_000
     seed: int = 0
     horizon: int = None
@@ -208,22 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("model", help="model JSON file")
         if solver:
-            p.add_argument("--tol", type=float, default=1e-10)
-            p.add_argument("--max-iters", type=int, default=100_000)
-            p.add_argument("--cap", type=float, default=1e12)
+            p.add_argument("--tol", type=float, default=RunConfig.tol)
+            p.add_argument("--max-iters", type=int,
+                           default=RunConfig.max_iters)
+            p.add_argument("--cap", type=float, default=RunConfig.cap)
         if policy:
             p.add_argument("--policy", help="policy JSON file")
         if mc:
-            p.add_argument("--n", type=int, default=100_000,
+            p.add_argument("--n", type=int, default=RunConfig.n_trajectories,
                            help="trajectories per start state")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=RunConfig.seed)
         if horizon:
             p.add_argument("--horizon", type=int, required=True)
         if gen:
             p.add_argument("--kind", required=True)
             p.add_argument("--params", default="{}",
                            help="generator parameters as a JSON object")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=RunConfig.seed)
         p.add_argument("--out", help="write the report here instead of stdout")
         return p
 
@@ -241,30 +245,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse destinations whose RunConfig field has another name
+_FIELD_OF_ARG = {"model": "model_path", "policy": "policy_path",
+                 "out": "output_path", "n": "n_trajectories"}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.model_path = getattr(args, "model", None)
-    config.policy_path = getattr(args, "policy", None)
-    config.output_path = getattr(args, "out", None)
-    if hasattr(args, "tol"):
-        config.tol = args.tol
-        config.max_iters = args.max_iters
-        config.cap = args.cap
-    if hasattr(args, "n"):
-        config.n_trajectories = args.n
-    if hasattr(args, "seed"):
-        config.seed = args.seed
-    if hasattr(args, "horizon"):
-        config.horizon = args.horizon
-    if hasattr(args, "kind"):
-        config.kind = args.kind
+    values = {_FIELD_OF_ARG.get(k, k): v for k, v in vars(args).items()}
+    if "params" in values:
         try:
-            config.params = jsonio.loads(args.params)
+            values["params"] = jsonio.loads(values["params"])
         except ValueError as exc:
             raise ModelError(f"--params is not valid JSON: {exc}") from None
-        if not isinstance(config.params, dict):
+        if not isinstance(values["params"], dict):
             raise ModelError("--params must be a JSON object")
-    return config
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

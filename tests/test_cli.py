@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from riskctmdp import cli, jsonio
+from riskctmdp import cli, jsonio, solver
 
 
 def _run(capsys, *argv):
@@ -141,6 +142,35 @@ def test_simulate_report(tmp_path, capsys):
     # reruns are byte-identical
     status2, out2, _ = _run(capsys, *args)
     assert out2 == out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, n, seed", [("two_state", 2000, 1),
+                                           ("birth_death", 1000, 3)])
+def test_simulate_report_bytes_unchanged(capsys, name, n, seed):
+    """Reports recorded from the per-path simulator before the lockstep
+    driver replaced it; birth_death truncates a few percent of paths."""
+    status, out, _ = _run(capsys, "simulate",
+                          str(GOLDEN / f"{name}.model.json"), "--policy",
+                          str(GOLDEN / f"{name}.policy.json"), "--n", str(n),
+                          "--seed", str(seed))
+    assert status == 0
+    assert out == (GOLDEN / f"{name}.simulate.json").read_text(
+        encoding="utf-8")
+
+
+def test_defaults_come_from_the_solver():
+    args = cli.build_parser().parse_args(["solve", "m.json"])
+    config = cli.config_from_args(args)
+    assert (config.tol, config.max_iters, config.cap) == (
+        solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITERS, solver.DEFAULT_CAP)
+    config = cli.config_from_args(cli.build_parser().parse_args(
+        ["simulate", "m.json", "--policy", "p.json", "--out", "o.json"]))
+    assert (config.model_path, config.policy_path, config.output_path,
+            config.n_trajectories, config.seed) == (
+        "m.json", "p.json", "o.json", 100_000, 0)
 
 
 def test_oracle_exit_codes(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 
 import numpy as np
 import pytest
@@ -5,9 +7,10 @@ from scipy import stats
 
 from riskctmdp.model import StationaryPolicy, gen_example, validate_model
 from riskctmdp.reduction import build_equivalent_dtmdp
-from riskctmdp.simulate import (ABSORBED, TRUNCATED, estimate_dtmdp_value_mc,
-                                estimate_value_mc, sample_trajectory,
-                                trajectory_stream)
+from riskctmdp.simulate import (ABSORBED, TRUNCATED, _JumpTables, _lockstep,
+                                _philox, _summarize, _uniforms,
+                                estimate_dtmdp_value_mc, estimate_value_mc,
+                                sample_trajectory, trajectory_stream)
 from riskctmdp.solver import evaluate_policy_linear
 from conftest import only_policy
 
@@ -180,3 +183,162 @@ class TestChainEstimates:
         runs = [estimate_dtmdp_value_mc(two_state_dtmdp, policy, 1, 8_000,
                                         31, n_workers=k) for k in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
+
+
+# --- the lockstep driver against scalar references -------------------------
+
+KEYS = (0, 1, 2 ** 64 - 1)
+INDICES = (0, 1, 2 ** 63, 2 ** 64 - 1)
+
+
+def _birth_death():
+    """Truncates at the default budget on a few percent of paths."""
+    return gen_example("birth_death", {"levels": 5, "birth": 1.0,
+                                       "death": 1.0, "cost": 0.02}, 0)
+
+
+def _costly_absorption():
+    """From 'start', a third of the paths absorb in 'stuck' at cost rate
+    1 (infinite cost), the rest in 'done' at zero cost."""
+    return validate_model({
+        "states": ["start", "stuck", "done"], "actions": ["a0"],
+        "rates": [{"from": "start", "action": "a0", "to": "stuck",
+                   "rate": 1.0},
+                  {"from": "start", "action": "a0", "to": "done",
+                   "rate": 2.0}],
+        "costs": [{"state": "start", "action": "a0", "rate": 0.5},
+                  {"state": "stuck", "action": "a0", "rate": 1.0}],
+    })
+
+
+def _paths(model, policy, x0, n, seed, max_jumps):
+    """Scalar reference: sample_trajectory on each path's own stream.
+    Returns (finite costs, infinite flags, truncated flags, final states);
+    the finite cost is summed over the recorded jumps in jump order."""
+    costs, infinite, truncated, finals = [], [], [], []
+    for i in range(n):
+        path = sample_trajectory(model, policy, x0,
+                                 trajectory_stream(seed, i), max_jumps)
+        cost = 0.0
+        for state, action, holding in path.jumps:
+            cost += model.costs[state, action] * holding
+        if path.accumulated_cost.is_finite:
+            assert cost == path.accumulated_cost.value
+        costs.append(cost)
+        infinite.append(not path.accumulated_cost.is_finite)
+        truncated.append(path.terminal == TRUNCATED)
+        finals.append(path.final_state)
+    return (np.array(costs), np.array(infinite), np.array(truncated),
+            np.array(finals))
+
+
+def _chain_paths(dtmdp, policy, x0, n, seed, max_steps):
+    """Scalar reference walk of the embedded chain: step k draws double k
+    of the path's stream; a row that is the identity at zero step cost
+    stops the walk.  Returns (costs, truncated flags)."""
+    choice = dtmdp.check_policy(policy)
+
+    def stops(x):
+        a = choice[x]
+        return (bool(np.all(np.flatnonzero(dtmdp.kernel[x, a] > 0) == x))
+                and dtmdp.log_cost[x, a, x] == 0.0)
+
+    costs, truncated = [], []
+    for i in range(n):
+        draws = trajectory_stream(seed, i).random(max_steps)
+        x, cost = x0, 0.0
+        for k in range(max_steps):
+            if stops(x):
+                break
+            row = dtmdp.kernel[x, choice[x]]
+            targets = np.flatnonzero(row > 0)
+            cum = np.cumsum(row[targets])
+            idx = min(int(np.searchsorted(cum, draws[k] * cum[-1],
+                                          side="right")), len(cum) - 1)
+            cost += dtmdp.log_cost[x, choice[x]][targets][idx]
+            x = int(targets[idx])
+        costs.append(cost)
+        truncated.append(not stops(x))
+    return np.array(costs), np.array(truncated)
+
+
+class TestPhilox:
+    def test_doubles_match_numpy_across_blocks(self):
+        pairs = list(itertools.product(KEYS, INDICES))
+        keys, indices = (np.array(v, dtype=np.uint64) for v in zip(*pairs))
+        draws = _uniforms(keys, indices, 0, 3)
+        later = _uniforms(keys, indices, 2, 2)
+        for row, (key, index) in enumerate(pairs):
+            expected = trajectory_stream(key, index).random(16)
+            assert np.array_equal(draws[row], expected[:12])
+            assert np.array_equal(later[row], expected[8:])
+
+    def test_raw_words_match_numpy(self):
+        rng = np.random.default_rng(3)
+        for key in list(KEYS) + [int(rng.integers(2 ** 63)) << 65 | 5]:
+            for index in INDICES:
+                c0 = int(rng.integers(2 ** 63))
+                c1, c2 = (int(w) for w in rng.integers(2 ** 63, size=2))
+                counter = c0 | c1 << 64 | c2 << 128 | index << 192
+                expected = np.random.Philox(key=key, counter=counter) \
+                    .random_raw(4)
+                words = _philox(
+                    tuple(np.array([w], np.uint64)
+                          for w in (c0 + 1, c1, c2, index)),
+                    (np.array([key & (2 ** 64 - 1)], np.uint64),
+                     np.array([key >> 64], np.uint64)))
+                assert [int(w[0]) for w in words] == expected.tolist()
+
+
+class TestLockstepMatchesScalar:
+    @pytest.mark.parametrize("make, x0, n, max_jumps", [
+        (_birth_death, 3, 300, 64),
+        (_birth_death, 5, 200, 7),
+        (_costly_absorption, 0, 300, 64),
+        (_birth_death, 2, 1, 64),
+    ])
+    def test_jump_estimate(self, make, x0, n, max_jumps):
+        model = make()
+        policy = only_policy(model)
+        costs, infinite, truncated, _ = _paths(model, policy, x0, n, 41,
+                                               max_jumps)
+        assert estimate_value_mc(model, policy, x0, n, 41, max_jumps) == \
+            _summarize(costs, infinite, truncated, 41)
+
+    def test_reference_models_reach_every_ending(self):
+        costs, infinite, truncated, _ = _paths(
+            _birth_death(), only_policy(_birth_death()), 3, 300, 41, 64)
+        assert 0 < truncated.sum() < 300
+        costs, infinite, truncated, _ = _paths(
+            _costly_absorption(), only_policy(_costly_absorption()), 0, 300,
+            41, 64)
+        assert 0 < infinite.sum() < 300 and np.all(costs > 0.0)
+
+    @pytest.mark.parametrize("budget", [1, 7, 1 << 18])
+    def test_several_start_states_and_chunkings(self, budget):
+        model = _birth_death()
+        policy = only_policy(model)
+        starts, seeds, n = [0, 4, 1, 5], [9, 10, 2 ** 64 + 3, 12], 40
+        costs, finals = _lockstep(_JumpTables(model, policy), starts, seeds,
+                                  n, 64, budget)
+        for s, (x0, seed) in enumerate(zip(starts, seeds)):
+            ref_costs, _, _, ref_finals = _paths(model, policy, x0, n, seed,
+                                                 64)
+            assert np.array_equal(costs[s], ref_costs)
+            assert np.array_equal(finals[s], ref_finals)
+
+    @pytest.mark.parametrize("make, x0, n, max_steps", [
+        (_birth_death, 3, 300, 64),
+        (_birth_death, 5, 100, 9),
+        (lambda: gen_example("pure_birth", {"N": 4, "kappa": 1.0}, 0), 0,
+         200, 64),
+        (_birth_death, 1, 1, 64),
+    ])
+    def test_chain_estimate(self, make, x0, n, max_steps):
+        model = make()
+        dtmdp = build_equivalent_dtmdp(model)
+        policy = only_policy(model)
+        costs, truncated = _chain_paths(dtmdp, policy, x0, n, 17, max_steps)
+        assert estimate_dtmdp_value_mc(dtmdp, policy, x0, n, 17,
+                                       max_steps) == \
+            _summarize(costs, np.zeros(n, dtype=bool), truncated, 17)
