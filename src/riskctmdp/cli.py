@@ -22,9 +22,10 @@ from .model import ModelError, gen_example, parse_policy, validate_model
 from .reduction import build_equivalent_dtmdp
 from .simulate import estimate_value_mc
 from .solver import (DEFAULT_CAP, DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                     OracleGuardError, ValueFunction, bellman_apply,
-                     evaluate_policy_iterative, evaluate_policy_linear,
-                     finite_horizon_oracle, solve_ctmdp)
+                     ORACLE_MAX_HORIZON, OracleGuardError, ValueFunction,
+                     bellman_apply, evaluate_policy_iterative,
+                     evaluate_policy_linear, finite_horizon_oracle,
+                     solve_ctmdp)
 
 ORACLE_MATCH_TOL = 1e-8
 
@@ -108,7 +109,7 @@ def _cmd_evaluate(config: RunConfig):
         "policy": policy.to_dict(model)["policy"],
         "linear": {
             "values": _values_by_state(model, linear),
-            "diagnostics": linear.diagnostics or {"method": "linear"},
+            "diagnostics": linear.diagnostics,
         },
         "iterative": {"values": _values_by_state(model, iterative)},
         "max_abs_diff_finite": diff,
@@ -149,8 +150,9 @@ def _cmd_simulate(config: RunConfig):
 def _cmd_oracle(config: RunConfig):
     if config.horizon is None:
         raise ModelError("the oracle command requires --horizon")
-    if not 1 <= config.horizon <= 6:
-        raise ModelError(f"oracle horizon must be in 1..6, got {config.horizon}")
+    if not 1 <= config.horizon <= ORACLE_MAX_HORIZON:
+        raise ModelError(f"oracle horizon must be in 1..{ORACLE_MAX_HORIZON}, "
+                         f"got {config.horizon}")
     model = _load_model(config)
     dtmdp = build_equivalent_dtmdp(model)
     per_horizon = {}
@@ -239,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         policy=True)
     add("simulate", "Monte Carlo estimates per start state", policy=True,
         mc=True)
-    add("oracle", "check sweeps against the brute-force oracle", solver=True,
-        horizon=True)
+    add("oracle", "check sweeps against the brute-force oracle", horizon=True)
     add("gen", "generate a fixture model", model=False, gen=True)
     return parser
 
@@ -263,8 +264,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         config = config_from_args(args)
         status, report = run(config)

@@ -35,37 +35,28 @@ def _unique_names(names, what: str) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
-class CtmdpModel:
-    """Validated continuous-time MDP; immutable after construction.
+class IndexedModel:
+    """States, actions and per-state admissible action sets.
 
-    rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
-    costs[x, a] the cost rate.  total_rates, max_total_rate and
-    max_cost_rate are cached over admissible actions.
+    The reduction keeps all three, so the continuous-time model and its
+    discrete-time equivalent share this base: the admissible mask, name
+    lookups, the policy check, equality and the sparse entry order of
+    their files.  Subclasses list their array fields in _ARRAYS.
     """
 
     states: tuple
     actions: tuple
     admissible: tuple  # per state, sorted tuple of admissible action indices
-    rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
-    costs: np.ndarray  # (n_states, n_actions)
-    total_rates: np.ndarray = field(default=None)  # (n_states, n_actions)
-    max_total_rate: np.ndarray = field(default=None)  # (n_states,)
-    max_cost_rate: np.ndarray = field(default=None)  # (n_states,)
+    admissible_mask: np.ndarray = field(init=False, repr=False)
+
+    _ARRAYS = ()
 
     def __post_init__(self):
-        adm_mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
+        mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
         for x, acts in enumerate(self.admissible):
-            adm_mask[x, list(acts)] = True
-        total = self.rates.sum(axis=2)
-        masked_total = np.where(adm_mask, total, 0.0)
-        masked_cost = np.where(adm_mask, self.costs, 0.0)
-        object.__setattr__(self, "total_rates", total)
-        object.__setattr__(self, "max_total_rate", masked_total.max(axis=1))
-        object.__setattr__(self, "max_cost_rate", masked_cost.max(axis=1))
-        object.__setattr__(self, "_admissible_mask", adm_mask)
-        for arr in (self.rates, self.costs, self.total_rates,
-                    self.max_total_rate, self.max_cost_rate):
-            arr.setflags(write=False)
+            mask[x, list(acts)] = True
+        mask.setflags(write=False)
+        object.__setattr__(self, "admissible_mask", mask)
 
     @property
     def n_states(self) -> int:
@@ -74,10 +65,6 @@ class CtmdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    @property
-    def admissible_mask(self) -> np.ndarray:
-        return self._admissible_mask
 
     def state_index(self, name: str) -> int:
         try:
@@ -91,6 +78,84 @@ class CtmdpModel:
         except ValueError:
             raise ModelError(f"unknown action '{name}'") from None
 
+    def check_policy(self, policy) -> np.ndarray:
+        """Validate a stationary policy against the admissible sets;
+        returns its choice as an index array."""
+        if len(policy.choice) != self.n_states:
+            raise ModelError(
+                f"policy covers {len(policy.choice)} states, model has "
+                f"{self.n_states}")
+        for x, a in enumerate(policy.choice):
+            if not 0 <= a < self.n_actions:
+                raise ModelError(f"policy action index {a} out of range at "
+                                 f"state '{self.states[x]}'")
+            if a not in self.admissible[x]:
+                raise ModelError(
+                    f"policy action '{self.actions[a]}' is not admissible at "
+                    f"state '{self.states[x]}'")
+        return np.asarray(policy.choice, dtype=int)
+
+    def _sparse(self, where: np.ndarray) -> tuple:
+        """Indices and names of the true entries of an (n_states, n_actions)
+        or (n_states, n_actions, n_states) mask, in C order (state, action,
+        successor), which is the entry order of the file formats.
+
+        Returns (index arrays, one list of names per axis).
+        """
+        idx = np.nonzero(where)
+        axes = (self.states, self.actions, self.states)
+        return idx, [[axes[k][i] for i in ix.tolist()]
+                     for k, ix in enumerate(idx)]
+
+    def _names_dict(self) -> dict:
+        return {
+            "states": list(self.states),
+            "actions": list(self.actions),
+            "admissible": {self.states[x]: [self.actions[a] for a in acts]
+                           for x, acts in enumerate(self.admissible)},
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.states == other.states
+                and self.actions == other.actions
+                and self.admissible == other.admissible
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name in self._ARRAYS))
+
+
+@dataclass(frozen=True, eq=False)
+class CtmdpModel(IndexedModel):
+    """Validated continuous-time MDP; immutable after construction.
+
+    rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
+    costs[x, a] the cost rate.  total_rates, max_total_rate and
+    max_cost_rate are cached over admissible actions.
+    """
+
+    rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
+    costs: np.ndarray  # (n_states, n_actions)
+    total_rates: np.ndarray = field(default=None)  # (n_states, n_actions)
+    max_total_rate: np.ndarray = field(default=None)  # (n_states,)
+    max_cost_rate: np.ndarray = field(default=None)  # (n_states,)
+
+    _ARRAYS = ("rates", "costs")
+
+    def __post_init__(self):
+        super().__post_init__()
+        adm_mask = self.admissible_mask
+        total = self.rates.sum(axis=2)
+        masked_total = np.where(adm_mask, total, 0.0)
+        masked_cost = np.where(adm_mask, self.costs, 0.0)
+        object.__setattr__(self, "total_rates", total)
+        object.__setattr__(self, "max_total_rate", masked_total.max(axis=1))
+        object.__setattr__(self, "max_cost_rate", masked_cost.max(axis=1))
+        for arr in (self.rates, self.costs, self.total_rates,
+                    self.max_total_rate, self.max_cost_rate):
+            arr.setflags(write=False)
+
     def total_rate(self, x: int, a: int) -> float:
         """Total outflow rate from state x under action a."""
         if a not in self.admissible[x]:
@@ -101,41 +166,13 @@ class CtmdpModel:
 
     def to_dict(self) -> dict:
         """Canonical file representation (sparse, sorted entries)."""
-        rates = []
-        for x in range(self.n_states):
-            for a in range(self.n_actions):
-                for y in range(self.n_states):
-                    r = self.rates[x, a, y]
-                    if r > 0.0:
-                        rates.append({"from": self.states[x],
-                                      "action": self.actions[a],
-                                      "to": self.states[y],
-                                      "rate": float(r)})
-        costs = []
-        for x in range(self.n_states):
-            for a in range(self.n_actions):
-                c = self.costs[x, a]
-                if c > 0.0:
-                    costs.append({"state": self.states[x],
-                                  "action": self.actions[a],
-                                  "rate": float(c)})
-        return {
-            "states": list(self.states),
-            "actions": list(self.actions),
-            "admissible": {self.states[x]: [self.actions[a] for a in acts]
-                           for x, acts in enumerate(self.admissible)},
-            "rates": rates,
-            "costs": costs,
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CtmdpModel):
-            return NotImplemented
-        return (self.states == other.states
-                and self.actions == other.actions
-                and self.admissible == other.admissible
-                and np.array_equal(self.rates, other.rates)
-                and np.array_equal(self.costs, other.costs))
+        idx, names = self._sparse(self.rates > 0.0)
+        rates = [{"from": x, "action": a, "to": y, "rate": r}
+                 for x, a, y, r in zip(*names, self.rates[idx].tolist())]
+        idx, names = self._sparse(self.costs > 0.0)
+        costs = [{"state": x, "action": a, "rate": c}
+                 for x, a, c in zip(*names, self.costs[idx].tolist())]
+        return {**self._names_dict(), "rates": rates, "costs": costs}
 
 
 @dataclass(frozen=True)
@@ -153,18 +190,7 @@ class StationaryPolicy:
 
 
 def validate_policy(model, policy: StationaryPolicy) -> StationaryPolicy:
-    if len(policy.choice) != model.n_states:
-        raise ModelError(
-            f"policy covers {len(policy.choice)} states, model has "
-            f"{model.n_states}")
-    for x, a in enumerate(policy.choice):
-        if not 0 <= a < model.n_actions:
-            raise ModelError(f"policy action index {a} out of range at state "
-                             f"'{model.states[x]}'")
-        if a not in model.admissible[x]:
-            raise ModelError(
-                f"policy action '{model.actions[a]}' is not admissible at "
-                f"state '{model.states[x]}'")
+    model.check_policy(policy)
     return policy
 
 

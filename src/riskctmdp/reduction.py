@@ -5,120 +5,62 @@ Dividing the rate kernel by w and returning the leftover mass to the state
 itself yields a proper stochastic kernel, and charging ln(w/(w - c)) per
 step makes the exponential-utility value of the embedded chain coincide
 with the value of the original jump process.  States, actions and
-admissible sets are preserved, so policies transfer verbatim.
+admissible sets are preserved, so policies transfer verbatim: both model
+classes share model.IndexedModel, which owns the indexing and the policy
+check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CtmdpModel, ModelError
+from .model import CtmdpModel, IndexedModel, ModelError
 
 ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class DtmdpModel:
+class DtmdpModel(IndexedModel):
     """Discrete-time model with per-step kernel and multiplicative cost.
 
     kernel[x, a] is a probability vector over successor states;
     log_cost[x, a, y] >= 0 is the log of the per-step cost factor.  The
     reduction produces log_cost constant in y, but the general slot is
-    kept so hand-built instances need no special casing.
+    kept so hand-built instances need no special casing.  step_weights =
+    kernel * exp(log_cost), the weights of the one-step operator, is
+    computed once here.
     """
 
-    states: tuple
-    actions: tuple
-    admissible: tuple
     kernel: np.ndarray  # (n_states, n_actions, n_states)
     log_cost: np.ndarray  # (n_states, n_actions, n_states)
+    step_weights: np.ndarray = field(init=False, repr=False)
+
+    _ARRAYS = ("kernel", "log_cost")
 
     def __post_init__(self):
-        adm_mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
-        for x, acts in enumerate(self.admissible):
-            adm_mask[x, list(acts)] = True
-        object.__setattr__(self, "_admissible_mask", adm_mask)
-        self.kernel.setflags(write=False)
-        self.log_cost.setflags(write=False)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
-    def admissible_mask(self) -> np.ndarray:
-        return self._admissible_mask
-
-    def state_index(self, name: str) -> int:
-        try:
-            return self.states.index(name)
-        except ValueError:
-            raise ModelError(f"unknown state '{name}'") from None
-
-    def check_policy(self, policy) -> np.ndarray:
-        """Validate a stationary policy against this model's admissible
-        sets; returns the choice as an index array."""
-        if len(policy.choice) != self.n_states:
-            raise ModelError(
-                f"policy covers {len(policy.choice)} states, model has "
-                f"{self.n_states}")
-        for x, a in enumerate(policy.choice):
-            if a not in self.admissible[x]:
-                raise ModelError(
-                    f"policy action '{self.actions[a]}' is not admissible "
-                    f"at state '{self.states[x]}'")
-        return np.asarray(policy.choice, dtype=int)
+        super().__post_init__()
+        weights = self.kernel * np.exp(self.log_cost)
+        for arr in (self.kernel, self.log_cost, weights):
+            arr.setflags(write=False)
+        object.__setattr__(self, "step_weights", weights)
 
     def to_dict(self) -> dict:
-        kernel = []
-        for x in range(self.n_states):
-            for a in range(self.n_actions):
-                for y in range(self.n_states):
-                    prob = self.kernel[x, a, y]
-                    if prob > 0.0:
-                        kernel.append({"from": self.states[x],
-                                       "action": self.actions[a],
-                                       "to": self.states[y],
-                                       "prob": float(prob)})
-        log_cost = []
-        for x in range(self.n_states):
-            for a in range(self.n_actions):
-                row = self.log_cost[x, a]
-                if np.all(row == row[0]):
-                    if row[0] > 0.0:
-                        log_cost.append({"state": self.states[x],
-                                         "action": self.actions[a],
-                                         "value": float(row[0])})
-                else:
-                    for y in range(self.n_states):
-                        if row[y] > 0.0:
-                            log_cost.append({"state": self.states[x],
-                                             "action": self.actions[a],
-                                             "to": self.states[y],
-                                             "value": float(row[y])})
-        return {
-            "states": list(self.states),
-            "actions": list(self.actions),
-            "admissible": {self.states[x]: [self.actions[a] for a in acts]
-                           for x, acts in enumerate(self.admissible)},
-            "kernel": kernel,
-            "log_cost": log_cost,
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DtmdpModel):
-            return NotImplemented
-        return (self.states == other.states
-                and self.actions == other.actions
-                and self.admissible == other.admissible
-                and np.array_equal(self.kernel, other.kernel)
-                and np.array_equal(self.log_cost, other.log_cost))
+        idx, names = self._sparse(self.kernel > 0.0)
+        kernel = [{"from": x, "action": a, "to": y, "prob": p}
+                  for x, a, y, p in zip(*names, self.kernel[idx].tolist())]
+        # a row constant in the successor is one entry without "to", read
+        # from its first slot; other rows get one entry per successor
+        lc = self.log_cost
+        varies = ~(lc == lc[:, :, :1]).all(axis=2)
+        first = np.arange(self.n_states) == 0
+        idx, names = self._sparse((lc > 0.0) & (varies[:, :, None] | first))
+        log_cost = [{"state": x, "action": a, "to": y, "value": v} if per_to
+                    else {"state": x, "action": a, "value": v}
+                    for x, a, y, v, per_to in zip(*names, lc[idx].tolist(),
+                                                  varies[idx[:2]].tolist())]
+        return {**self._names_dict(), "kernel": kernel, "log_cost": log_cost}
 
 
 def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel:
@@ -185,7 +127,7 @@ def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     ln(w(x)/(w(x) - c(x,a))).  Inadmissible pairs get an identity row at
     zero cost so that every row stays stochastic.
     """
-    n, m = model.n_states, model.n_actions
+    n = model.n_states
     w = uniformization_weight(model)
     adm = model.admissible_mask
     kernel = model.rates / w[:, None, None]
@@ -195,10 +137,8 @@ def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     # become identity rows at zero cost so every row stays stochastic
     denom = np.where(adm, w[:, None] - model.costs, 1.0)
     log_cost = np.log(np.where(adm, w[:, None], 1.0) / denom)
-    for x in range(n):
-        for a in range(m):
-            if not adm[x, a]:
-                kernel[x, a, :] = 0.0
-                kernel[x, a, x] = 1.0
+    x, a = np.nonzero(~adm)
+    kernel[x, a, :] = 0.0
+    kernel[x, a, x] = 1.0
     return make_dtmdp(model.states, model.actions, kernel, log_cost,
                       model.admissible)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, ExtReal
-from .model import CtmdpModel, StationaryPolicy, validate_policy
+from .model import CtmdpModel, StationaryPolicy
 from .reduction import DtmdpModel
 
 DEFAULT_MAX_JUMPS = 64
@@ -242,7 +242,7 @@ def sample_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: int,
     """
     if max_jumps < 1:
         raise ValueError(f"max_jumps must be at least 1, got {max_jumps}")
-    validate_policy(model, policy)
+    model.check_policy(policy)
     if not 0 <= x0 < model.n_states:
         raise ValueError(f"start state index {x0} out of range")
     tables = _JumpTables(model, policy)
@@ -390,7 +390,7 @@ def estimate_value_mc(model: CtmdpModel, policy: StationaryPolicy, x0: int,
     n_workers has no effect; it is kept for compatibility.
     """
     _check_counts(n, max_jumps, "max_jumps")
-    validate_policy(model, policy)
+    model.check_policy(policy)
     return _estimate(_JumpTables(model, policy), x0, n, master_seed,
                      max_jumps)
 

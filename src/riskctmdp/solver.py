@@ -5,7 +5,8 @@ The one-step operator maps a value vector v >= 1 to
     (T v)(x) = min over admissible a of  sum_y kernel(x,a)[y] e^{l(x,a,y)} v(y)
 
 with the convention that a zero-probability transition contributes nothing
-even when v(y) is infinite.  Iterating T from the constant 1 produces a
+even when v(y) is infinite.  The weights kernel(x,a)[y] e^{l(x,a,y)} are
+computed once per model and read from DtmdpModel.step_weights.  Iterating T from the constant 1 produces a
 monotone nondecreasing sequence; its limit is the value of the model, and
 the per-state argmin of T at the limit is an optimal stationary policy.
 Divergence to infinity is detected by a cap heuristic: a state whose
@@ -108,10 +109,6 @@ class SolveReport:
         }
 
 
-def _step_weights(dtmdp: DtmdpModel) -> np.ndarray:
-    return dtmdp.kernel * np.exp(dtmdp.log_cost)
-
-
 def _masked_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     """weights @ v with zero weights absorbing infinite values of v."""
     inf_mask = np.isinf(v)
@@ -139,7 +136,7 @@ def bellman_apply(dtmdp: DtmdpModel, v: ValueFunction):
     Ties are broken by the lowest action index; the result is floored at
     the provable lower bound 1 so iterates stay in [1, inf] exactly.
     """
-    vals = _masked_apply(_step_weights(dtmdp), v.values)
+    vals = _masked_apply(dtmdp.step_weights, v.values)
     best, choice = _argmin_admissible(vals, dtmdp.admissible_mask)
     tv = np.maximum(best, 1.0)
     return ValueFunction(tv), StationaryPolicy(tuple(int(a) for a in choice))
@@ -206,7 +203,7 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     excluded from the stopping test.  Exhausting max_iters yields a report
     with converged=False rather than an exception.
     """
-    weights = _step_weights(dtmdp)
+    weights = dtmdp.step_weights
     adm = dtmdp.admissible_mask
 
     def sweep(v):
@@ -235,7 +232,7 @@ def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
     classification as value_iterate."""
     choice = dtmdp.check_policy(policy)
     rows = np.arange(dtmdp.n_states)
-    weights = _step_weights(dtmdp)[rows, choice, :]
+    weights = dtmdp.step_weights[rows, choice, :]
 
     def sweep(v):
         return _masked_apply(weights, v)
@@ -261,7 +258,7 @@ def evaluate_policy_linear(dtmdp: DtmdpModel,
     n = dtmdp.n_states
     rows = np.arange(n)
     kp = dtmdp.kernel[rows, choice, :]
-    weights = kp * np.exp(dtmdp.log_cost[rows, choice, :])
+    weights = dtmdp.step_weights[rows, choice, :]
     self_cost = dtmdp.log_cost[rows, choice, rows]
 
     off_diag = kp.copy()
@@ -310,23 +307,23 @@ def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
     state contributes +inf to the minimum.  States with v(x) = inf are
     skipped.
     """
-    vals = v.values
-    if len(vals) != model.n_states:
+    n = model.n_states
+    if len(v.values) != n:
         raise ModelError("value function length does not match model")
     finite = v.finite_mask
-    safe = np.where(finite, vals, 0.0)
-    out = {}
-    for x in np.flatnonzero(finite):
-        best = np.inf
-        for a in model.admissible[x]:
-            row = model.rates[x, a]
-            if np.any(row[~finite] > 0.0):
-                continue  # this action's candidate is +inf
-            candidate = (model.costs[x, a] * vals[x] + row @ safe
-                         - model.total_rates[x, a] * vals[x])
-            best = min(best, candidate)
-        out[int(x)] = float(best)
-    return out
+    safe = np.where(finite, v.values, 0.0)
+    flat = model.rates.reshape(-1, n)
+    # one dot product per row, bit for bit what row @ safe gives; a single
+    # flat @ safe can round differently in the last bit
+    inflow = np.matmul(flat[:, None, :], safe[:, None]).reshape(n, -1)
+    candidate = (model.costs * safe[:, None] + inflow
+                 - model.total_rates * safe[:, None])
+    # as in _masked_apply: positive weight into an infinite state is +inf
+    reaches = (flat[:, ~finite] > 0.0).any(axis=1).reshape(n, -1)
+    best = np.where(model.admissible_mask & ~reaches, candidate,
+                    np.inf).min(axis=1)
+    states = np.flatnonzero(finite)
+    return dict(zip(states.tolist(), best[states].tolist()))
 
 
 def check_supersolution(model: CtmdpModel, u: ValueFunction,
@@ -357,7 +354,7 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     if horizon > ORACLE_MAX_HORIZON or m ** (n * horizon) > ORACLE_BUDGET:
         raise OracleGuardError(
             f"{m}^({n}*{horizon}) strategy tables exceed the oracle budget")
-    weights = _step_weights(dtmdp)
+    weights = dtmdp.step_weights
     rows = np.arange(n)
     tables = itertools.product(*dtmdp.admissible)
 

@@ -147,18 +147,45 @@ def test_simulate_report(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name, n, seed", [("two_state", 2000, 1),
-                                           ("birth_death", 1000, 3)])
-def test_simulate_report_bytes_unchanged(capsys, name, n, seed):
-    """Reports recorded from the per-path simulator before the lockstep
-    driver replaced it; birth_death truncates a few percent of paths."""
-    status, out, _ = _run(capsys, "simulate",
-                          str(GOLDEN / f"{name}.model.json"), "--policy",
-                          str(GOLDEN / f"{name}.policy.json"), "--n", str(n),
-                          "--seed", str(seed))
+def _golden(name, command, *flags, id=None):
+    """A CLI run on golden/<name>.model.json and its recorded report."""
+    return pytest.param([command, str(GOLDEN / f"{name}.model.json"), *flags],
+                        f"{name}.{command}.json", id=id or f"{name}-{command}")
+
+
+def _policy(name):
+    return ("--policy", str(GOLDEN / f"{name}.policy.json"))
+
+
+@pytest.mark.parametrize("args, report", [
+    _golden("two_state", "simulate", *_policy("two_state"), "--n", "2000",
+            "--seed", "1", id="two_state-2000-1"),
+    _golden("birth_death", "simulate", *_policy("birth_death"), "--n", "1000",
+            "--seed", "3", id="birth_death-1000-3"),
+    *(case for name, horizon in (("random_adm", "1"), ("infinite", "3"))
+      for case in (
+          _golden(name, "validate"),
+          _golden(name, "reduce"),
+          _golden(name, "solve"),
+          _golden(name, "evaluate", "--policy",
+                  str(GOLDEN / f"{name}.solve.json")),
+          _golden(name, "oracle", "--horizon", horizon))),
+])
+def test_report_bytes_unchanged(capsys, args, report):
+    """Reports recorded before the code they exercise was rewritten.
+
+    The simulate reports come from the per-path simulator the lockstep
+    driver replaced; birth_death truncates a few percent of paths.  The
+    others come from the per-model copies of the indexing, the Python
+    loops in to_dict and optimality_residual, and the step weights rebuilt
+    on each call.  random_adm is random n=8 m=3 with a restricted
+    admissible map and some zero costs; infinite has a costly trap, a
+    state that reaches it under every action, a divergent pair found by
+    the cap heuristic, and a finite state with one action into the trap.
+    """
+    status, out, _ = _run(capsys, *args)
     assert status == 0
-    assert out == (GOLDEN / f"{name}.simulate.json").read_text(
-        encoding="utf-8")
+    assert out == (GOLDEN / report).read_text(encoding="utf-8")
 
 
 def test_defaults_come_from_the_solver():
@@ -209,3 +236,17 @@ def test_float_formatting_loses_nothing():
     text = jsonio.dumps({"v": value})
     assert jsonio.loads(text)["v"] == value
     assert jsonio.loads(jsonio.dumps({"v": float("inf")}))["v"] == "inf"
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    model_path = _gen_two_state(tmp_path)
+    status, out, err = _run(capsys, "solve", str(model_path), "--bogus")
+    assert status == 1 and out == "" and "--bogus" in err
+    status, _, err = _run(capsys, "oracle", str(model_path))
+    assert status == 1 and "--horizon" in err
+    for dropped in ("--tol", "--max-iters", "--cap"):
+        status, _, err = _run(capsys, "oracle", str(model_path),
+                              "--horizon", "2", dropped, "1")
+        assert status == 1 and dropped in err
+    status, out, _ = _run(capsys, "solve", "--help")
+    assert status == 0 and "--max-iters" in out

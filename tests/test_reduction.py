@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from riskctmdp import jsonio
-from riskctmdp.model import ModelError, gen_example, validate_model
+from riskctmdp import estimate_dtmdp_value_mc, jsonio
+from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
+                             validate_model)
 from riskctmdp.reduction import (build_equivalent_dtmdp, make_dtmdp,
                                  uniformization_weight)
-from riskctmdp.solver import ValueFunction, bellman_apply, optimality_residual
+from riskctmdp.solver import (ValueFunction, bellman_apply,
+                              evaluate_policy_iterative,
+                              evaluate_policy_linear, optimality_residual)
 
 
 def test_weight_two_state(two_state):
@@ -160,3 +163,33 @@ def test_make_dtmdp_validation():
         make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), -1.0))
     with pytest.raises(ModelError, match="invalid log-cost"):
         make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), np.inf))
+
+
+def test_to_dict_log_cost_per_successor():
+    """A log-cost row that varies by successor is written once per positive
+    "to"; a constant row is one entry without "to"; zeros are left out."""
+    kernel = np.array([[[0.5, 0.5], [1.0, 0.0]],
+                       [[0.25, 0.75], [0.0, 1.0]]])
+    log_cost = np.array([[[0.0, 0.5], [0.25, 0.25]],
+                         [[0.0, 0.0], [0.125, 0.0]]])
+    doc = make_dtmdp(["a", "b"], ["u", "w"], kernel, log_cost).to_dict()
+    assert [list(e.items()) for e in doc["kernel"]] == [
+        [("from", f), ("action", a), ("to", t), ("prob", p)]
+        for f, a, t, p in (("a", "u", "a", 0.5), ("a", "u", "b", 0.5),
+                           ("a", "w", "a", 1.0), ("b", "u", "a", 0.25),
+                           ("b", "u", "b", 0.75), ("b", "w", "b", 1.0))]
+    assert [list(e.items()) for e in doc["log_cost"]] == [
+        [("state", "a"), ("action", "u"), ("to", "b"), ("value", 0.5)],
+        [("state", "a"), ("action", "w"), ("value", 0.25)],
+        [("state", "b"), ("action", "w"), ("to", "a"), ("value", 0.125)],
+    ]
+
+
+@pytest.mark.parametrize("evaluate", [
+    evaluate_policy_linear,
+    evaluate_policy_iterative,
+    lambda dtmdp, policy: estimate_dtmdp_value_mc(dtmdp, policy, 1, 10, 0),
+], ids=["linear", "iterative", "monte_carlo"])
+def test_out_of_range_action_is_model_error(two_state_dtmdp, evaluate):
+    with pytest.raises(ModelError, match="out of range at state 'work'"):
+        evaluate(two_state_dtmdp, StationaryPolicy((0, 5)))

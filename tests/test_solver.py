@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riskctmdp import jsonio
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
 from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
@@ -205,8 +207,8 @@ def _min_action_gap(item):
     resolved by the index tie-break at any tolerance, so only strictly
     positive gaps can be flipped by solver noise.
     """
-    from riskctmdp.solver import _masked_apply, _step_weights
-    vals = _masked_apply(_step_weights(item.dtmdp), item.report.value.values)
+    from riskctmdp.solver import _masked_apply
+    vals = _masked_apply(item.dtmdp.step_weights, item.report.value.values)
     gap = np.inf
     for x in range(item.model.n_states):
         acts = item.model.admissible[x]
@@ -302,6 +304,42 @@ class TestOptimalityResidual:
         report, _ = solve_ctmdp(_stuck_model())
         res = optimality_residual(_stuck_model(), report.value)
         assert res == {}
+
+    def test_matches_per_state_loop(self, monotone_corpus):
+        """Equal, bit for bit, to the per-state, per-action loop, on solved
+        and perturbed values, with infinite states and restricted
+        admissible sets."""
+        golden = Path(__file__).parent / "golden" / "infinite.model.json"
+        infinite = validate_model(jsonio.loads(golden.read_text()))
+        cases = [(infinite, solve_ctmdp(infinite)[0].value)]
+        rng = np.random.default_rng(3)
+        for item in monotone_corpus[:40]:
+            value = item.report.value
+            cases.append((item.model, value))
+            cases.append((item.model, ValueFunction(
+                value.values * (1.0 + rng.random(len(value))))))
+        for model, value in cases:
+            assert optimality_residual(model, value) == _residual_loop(model,
+                                                                       value)
+
+
+def _residual_loop(model, v):
+    """Reference form of optimality_residual: one candidate per admissible
+    action of each finite-value state."""
+    vals = v.values
+    finite = v.finite_mask
+    safe = np.where(finite, vals, 0.0)
+    out = {}
+    for x in np.flatnonzero(finite):
+        best = np.inf
+        for a in model.admissible[x]:
+            row = model.rates[x, a]
+            if np.any(row[~finite] > 0.0):
+                continue
+            best = min(best, model.costs[x, a] * vals[x] + row @ safe
+                       - model.total_rates[x, a] * vals[x])
+        out[int(x)] = float(best)
+    return out
 
 
 class TestSupersolution:
