@@ -52,8 +52,15 @@ class IndexedModel:
     _ARRAYS = ()
 
     def __post_init__(self):
+        if not self.states:
+            raise ModelError("state list is empty")
         mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
         for x, acts in enumerate(self.admissible):
+            for a in acts:
+                if not 0 <= a < self.n_actions:
+                    raise ModelError(
+                        f"admissible action index {a} out of range at "
+                        f"state '{self.states[x]}'")
             mask[x, list(acts)] = True
         mask.setflags(write=False)
         object.__setattr__(self, "admissible_mask", mask)

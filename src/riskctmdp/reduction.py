@@ -66,9 +66,9 @@ class DtmdpModel(IndexedModel):
 def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel:
     """Validate and build a discrete-time model from arrays.
 
-    Kernel rows of admissible state-action pairs must be probability
-    vectors (nonnegative, summing to 1 within 1e-12); log-cost entries
-    must be finite and nonnegative.
+    Kernel entries must be nonnegative (NaN is rejected), and the rows of
+    admissible state-action pairs must sum to 1 within 1e-12; log-cost
+    entries must be finite and nonnegative.
     """
     states = tuple(states)
     actions = tuple(actions)
@@ -84,13 +84,15 @@ def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel
     else:
         admissible = tuple(tuple(sorted(set(acts))) for acts in admissible)
         for x, acts in enumerate(admissible):
-            if not acts or acts[0] < 0 or acts[-1] >= m:
-                raise ModelError(f"bad admissible set for state '{states[x]}'")
+            if not acts:  # IndexedModel checks the index range
+                raise ModelError(f"empty admissible set for state '{states[x]}'")
 
-    if np.any(kernel < 0):
-        x, a, y = (int(i) for i in np.argwhere(kernel < 0)[0])
+    bad = ~(kernel >= 0)  # negative or NaN
+    if np.any(bad):
+        x, a, y = (int(i) for i in np.argwhere(bad)[0])
+        what = "NaN" if np.isnan(kernel[x, a, y]) else "negative"
         raise ModelError(
-            f"negative kernel entry at ('{states[x]}', '{actions[a]}', "
+            f"{what} kernel entry at ('{states[x]}', '{actions[a]}', "
             f"'{states[y]}'): {kernel[x, a, y]}")
     bad = ~np.isfinite(log_cost) | (log_cost < 0)
     if np.any(bad):
@@ -98,15 +100,16 @@ def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel
         raise ModelError(
             f"invalid log-cost at ('{states[x]}', '{actions[a]}', "
             f"'{states[y]}'): {log_cost[x, a, y]}")
+    model = DtmdpModel(states=states, actions=actions, admissible=admissible,
+                       kernel=kernel, log_cost=log_cost)
     sums = kernel.sum(axis=2)
-    for x, acts in enumerate(admissible):
-        for a in acts:
-            if abs(sums[x, a] - 1.0) > ROW_SUM_TOL:
-                raise ModelError(
-                    f"kernel row at ('{states[x]}', '{actions[a]}') sums to "
-                    f"{sums[x, a]!r}, not 1")
-    return DtmdpModel(states=states, actions=actions, admissible=admissible,
-                      kernel=kernel, log_cost=log_cost)
+    bad = model.admissible_mask & (np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if np.any(bad):
+        x, a = (int(i) for i in np.argwhere(bad)[0])
+        raise ModelError(
+            f"kernel row at ('{states[x]}', '{actions[a]}') sums to "
+            f"{float(sums[x, a])!r}, not 1")
+    return model
 
 
 def uniformization_weight(model: CtmdpModel) -> np.ndarray:

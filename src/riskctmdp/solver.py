@@ -11,7 +11,11 @@ monotone nondecreasing sequence; its limit is the value of the model, and
 the per-state argmin of T at the limit is an optimal stationary policy.
 Divergence to infinity is detected by a cap heuristic: a state whose
 iterate exceeds the cap and keeps growing for a fixed number of sweeps is
-classified infinite and pinned there.
+classified infinite and pinned there.  That bookkeeping starts only once
+an iterate passes the cap or is infinite; before that no state can be
+pending or pinned, so a sweep just floors, checks monotonicity and
+measures the change, and the classification is the same as if it ran on
+every sweep.
 
 Alongside the iteration the module provides a direct linear-system policy
 evaluator, residual checks against the original continuous-time model, and
@@ -111,11 +115,11 @@ class SolveReport:
 
 def _masked_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     """weights @ v with zero weights absorbing infinite values of v."""
-    inf_mask = np.isinf(v)
     flat = weights.reshape(-1, weights.shape[-1])
-    if not inf_mask.any():
+    if v.max() < np.inf:  # no entry is infinite (or NaN)
         out = flat @ v
     else:
+        inf_mask = np.isinf(v)
         out = flat @ np.where(inf_mask, 0.0, v)
         reaches = (flat[:, inf_mask] > 0).any(axis=1)
         out[reaches] = np.inf
@@ -151,11 +155,22 @@ def extract_policy(dtmdp: DtmdpModel, v: ValueFunction) -> StationaryPolicy:
     return bellman_apply(dtmdp, v)[1]
 
 
+def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
+    x = int(np.argwhere(tv < v)[0][0])
+    return SolverError(f"monotonicity violated at state index {x}: "
+                       f"{v[x]!r} -> {tv[x]!r}")
+
+
 def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
     """Shared fixed-point loop: monotone sweeps, cap classification, stopping.
 
     Returns (values, iterations, converged).  `sweep` maps the current
-    vector to the next raw vector (not yet floored or pinned).
+    vector to the next raw vector (not yet floored or pinned).  While every
+    iterate is finite and at most the cap, no state is pending or pinned, so
+    a sweep only floors, checks monotonicity and measures the relative
+    change.  The cap and streak bookkeeping starts with the first iterate
+    above the cap (or infinite, or not a number) and runs on every sweep
+    after it.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -163,30 +178,38 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
         raise ValueError(f"cap must exceed 1, got {cap}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    # the lean sweep needs every iterate finite as well as at most the cap;
+    # with cap = inf an overflowed iterate must still take the full path
+    lean_cap = min(cap, np.finfo(float).max)
     v = np.ones(n)
-    streak = np.zeros(n, dtype=int)
+    streak = None  # consecutive growing sweeps above the cap, per state
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         tv = np.maximum(sweep(v), 1.0)
-        tv[np.isinf(v)] = np.inf
-        if np.any(tv < v):
-            x = int(np.argwhere(tv < v)[0][0])
-            raise SolverError(
-                f"monotonicity violated at state index {x}: "
-                f"{v[x]!r} -> {tv[x]!r}")
-        finite = np.isfinite(tv)
-        streak = np.where(finite & (tv > cap) & (tv > v), streak + 1, 0)
-        diverged = streak >= DIVERGENCE_SWEEPS
-        if diverged.any():
-            tv[diverged] = np.inf
-            streak[diverged] = 0
-        active = np.isfinite(tv) & (tv <= cap)
-        pending = np.isfinite(tv) & (tv > cap)  # awaiting classification
-        change = float(((tv[active] - v[active]) / v[active]).max()) \
-            if active.any() else 0.0
+        if streak is None and tv.max() <= lean_cap:
+            rel = (tv - v) / v  # v and tv finite: every state is active
+            if rel.min() < 0.0:
+                raise _non_monotone(v, tv)
+            change, pending = rel.max(), False
+        else:
+            if streak is None:
+                streak = np.zeros(n, dtype=int)
+            tv[np.isinf(v)] = np.inf
+            if np.any(tv < v):
+                raise _non_monotone(v, tv)
+            finite = np.isfinite(tv)
+            streak = np.where(finite & (tv > cap) & (tv > v), streak + 1, 0)
+            diverged = streak >= DIVERGENCE_SWEEPS
+            if diverged.any():
+                tv[diverged] = np.inf
+                streak[diverged] = 0
+            active = np.isfinite(tv) & (tv <= cap)
+            pending = (np.isfinite(tv) & (tv > cap)).any()  # unclassified
+            change = float(((tv[active] - v[active]) / v[active]).max()) \
+                if active.any() else 0.0
         v = tv
-        if change < tol and not pending.any():
+        if change < tol and not pending:
             converged = True
             break
     return v, iterations, converged
@@ -207,7 +230,7 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     adm = dtmdp.admissible_mask
 
     def sweep(v):
-        return _argmin_admissible(_masked_apply(weights, v), adm)[0]
+        return np.where(adm, _masked_apply(weights, v), np.inf).min(axis=1)
 
     vals, iterations, converged = _iterate(sweep, dtmdp.n_states, tol,
                                            max_iters, cap)

@@ -170,6 +170,8 @@ def _policy(name):
           _golden(name, "evaluate", "--policy",
                   str(GOLDEN / f"{name}.solve.json")),
           _golden(name, "oracle", "--horizon", horizon))),
+    _golden("near_critical", "solve"),
+    _golden("divergent", "solve"),
 ])
 def test_report_bytes_unchanged(capsys, args, report):
     """Reports recorded before the code they exercise was rewritten.
@@ -182,6 +184,10 @@ def test_report_bytes_unchanged(capsys, args, report):
     admissible map and some zero costs; infinite has a costly trap, a
     state that reaches it under every action, a divergent pair found by
     the cap heuristic, and a finite state with one action into the trap.
+    near_critical (two_state q=1 c=0.999, 30 842 sweeps) and divergent
+    (birth_death levels=63 birth=3 death=1 cost=1, 63 states pinned
+    infinite) come from the loop that ran the cap bookkeeping on every
+    sweep.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riskctmdp import jsonio
-from riskctmdp.model import (ModelError, StationaryPolicy,
+from riskctmdp.model import (CtmdpModel, ModelError, StationaryPolicy,
                              gen_example, parse_policy, validate_model,
                              validate_policy)
 
@@ -204,3 +204,15 @@ def test_models_are_immutable(two_state):
         two_state.rates[1, 0, 0] = 9.0
     with pytest.raises(Exception):
         two_state.states = ("x",)
+
+
+@pytest.mark.parametrize("index", [1, -1], ids=["n_actions", "negative"])
+def test_admissible_index_out_of_range(index):
+    """An index past the last action used to raise a bare IndexError, and
+    -1 used to mark the last action admissible."""
+    with pytest.raises(ModelError,
+                       match=f"index {index} out of range at state 'b'"):
+        validate_model(CtmdpModel(states=("a", "b"), actions=("u",),
+                                  admissible=((0,), (index,)),
+                                  rates=np.zeros((2, 1, 2)),
+                                  costs=np.zeros((2, 1))))

@@ -8,7 +8,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import riskctmdp.solver
+from riskctmdp import gen_example, solve_ctmdp
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +35,24 @@ def test_trace_targets_are_own_attributes():
 def test_fixed_point_loop_takes_sweep_first():
     params = list(inspect.signature(riskctmdp.solver._iterate).parameters)
     assert params[0] == "sweep"
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("two_state", {"q": 1, "c": 0.99}),
+    ("birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1}),
+], ids=["two_state", "birth_death-divergent"])
+def test_counted_sweeps_equal_iterations(monkeypatch, kind, params):
+    """The traced run counts calls of the sweep that solver._iterate
+    receives and requires the count to equal the report's iterations."""
+    calls = 0
+    iterate = riskctmdp.solver._iterate
+
+    def counted(sweep, *args, **kwargs):
+        def counting(v):
+            nonlocal calls
+            calls += 1
+            return sweep(v)
+        return iterate(counting, *args, **kwargs)
+    monkeypatch.setattr(riskctmdp.solver, "_iterate", counted)
+    report, _ = solve_ctmdp(gen_example(kind, params, 0))
+    assert calls == report.iterations > 1

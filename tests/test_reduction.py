@@ -159,10 +159,26 @@ def test_make_dtmdp_validation():
     with pytest.raises(ModelError, match="negative kernel"):
         make_dtmdp(["a", "b"], ["u"],
                    np.array([[[-0.5, 1.5]], [[0.0, 1.0]]]), costs)
+    with pytest.raises(ModelError, match=r"NaN kernel entry at \('b', 'u', 'a'\)"):
+        make_dtmdp(["a", "b"], ["u"],
+                   np.array([[[0.5, 0.5]], [[np.nan, 1.0]]]), costs)
     with pytest.raises(ModelError, match="invalid log-cost"):
         make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), -1.0))
     with pytest.raises(ModelError, match="invalid log-cost"):
         make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), np.inf))
+    with pytest.raises(ModelError, match="empty admissible set for state 'b'"):
+        make_dtmdp(["a", "b"], ["u"], kernel, costs, admissible=[[0], []])
+    with pytest.raises(ModelError, match="index 1 out of range at state 'a'"):
+        make_dtmdp(["a", "b"], ["u"], kernel, costs, admissible=[[1], [0]])
+    with pytest.raises(ModelError, match="state list is empty"):
+        make_dtmdp([], ["u"], np.zeros((0, 1, 0)), np.zeros((0, 1)))
+
+
+def test_row_sum_error_prints_a_plain_float():
+    with pytest.raises(ModelError) as err:
+        make_dtmdp(["a", "b"], ["u"], np.array([[[0.5, 0.6]], [[0.0, 1.0]]]),
+                   np.zeros((2, 1)))
+    assert str(err.value) == "kernel row at ('a', 'u') sums to 1.1, not 1"
 
 
 def test_to_dict_log_cost_per_successor():

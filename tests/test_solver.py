@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskctmdp import jsonio
+from riskctmdp import jsonio, solver
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
 from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
-from riskctmdp.solver import (ValueFunction, bellman_apply,
+from riskctmdp.solver import (DIVERGENCE_SWEEPS, SolverError, ValueFunction,
+                              bellman_apply,
                               check_supersolution, evaluate_policy_iterative,
                               evaluate_policy_linear, extract_policy,
                               optimality_residual, solve_ctmdp, value_iterate)
@@ -381,3 +382,192 @@ class TestValueFunction:
     def test_json_values(self):
         vf = ValueFunction(np.array([1.0, np.inf]))
         assert vf.to_json_values() == [1.0, "inf"]
+
+
+# The fixed-point loop and the sweep as they were before the loop was made
+# lean: every sweep ran the cap, streak and pin bookkeeping, and the
+# value-iteration sweep computed the argmin and dropped it.  The lean loop
+# must reproduce them bit for bit.
+
+def _reference_masked_apply(weights, v):
+    inf_mask = np.isinf(v)
+    flat = weights.reshape(-1, weights.shape[-1])
+    if not inf_mask.any():
+        out = flat @ v
+    else:
+        out = flat @ np.where(inf_mask, 0.0, v)
+        reaches = (flat[:, inf_mask] > 0).any(axis=1)
+        out[reaches] = np.inf
+    return out.reshape(weights.shape[:-1])
+
+
+def _reference_argmin_admissible(vals, adm_mask):
+    vals = np.where(adm_mask, vals, np.inf)
+    best = vals.min(axis=1)
+    attains = adm_mask & (vals == best[:, None])
+    return best, np.argmax(attains, axis=1)
+
+
+def _reference_iterate(sweep, n, tol, max_iters, cap):
+    v = np.ones(n)
+    streak = np.zeros(n, dtype=int)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        tv = np.maximum(sweep(v), 1.0)
+        tv[np.isinf(v)] = np.inf
+        if np.any(tv < v):
+            x = int(np.argwhere(tv < v)[0][0])
+            raise SolverError(
+                f"monotonicity violated at state index {x}: "
+                f"{v[x]!r} -> {tv[x]!r}")
+        finite = np.isfinite(tv)
+        streak = np.where(finite & (tv > cap) & (tv > v), streak + 1, 0)
+        diverged = streak >= DIVERGENCE_SWEEPS
+        if diverged.any():
+            tv[diverged] = np.inf
+            streak[diverged] = 0
+        active = np.isfinite(tv) & (tv <= cap)
+        pending = np.isfinite(tv) & (tv > cap)
+        change = float(((tv[active] - v[active]) / v[active]).max()) \
+            if active.any() else 0.0
+        v = tv
+        if change < tol and not pending.any():
+            converged = True
+            break
+    return v, iterations, converged
+
+
+def _recorded_loop(monkeypatch, run, *args, **kwargs):
+    """(values, iterations, converged) of the one fixed-point loop that
+    run(*args, **kwargs) goes through."""
+    loops = []
+
+    def record(sweep, *rest):
+        loops.append(iterate(sweep, *rest))
+        return loops[-1]
+    iterate = solver._iterate
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_iterate", record)
+        run(*args, **kwargs)
+    (loop,) = loops
+    return loop
+
+
+def _priced_chain():
+    """c -> b -> a at prices 2 and 100: values 200, 100 and 1, reached in
+    two sweeps, so a cap of 50 leaves b and c pending for good."""
+    kernel = np.array([[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]],
+                       [[0.0, 1.0, 0.0]]])
+    log_cost = np.array([[0.0], [math.log(100.0)], [math.log(2.0)]])
+    return make_dtmdp(["a", "b", "c"], ["u"], kernel, log_cost)
+
+
+def _lagging_pair():
+    """y loops at price 3 and x moves to y at price 1000: x passes the cap
+    and is pinned while y is still finite, so x's own sweep stays finite
+    until y is pinned too."""
+    kernel = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
+    log_cost = np.array([[math.log(3.0)], [math.log(1000.0)]])
+    return make_dtmdp(["y", "x"], ["u"], kernel, log_cost)
+
+
+def _two_state(c):
+    return build_equivalent_dtmdp(gen_example("two_state", {"q": 1, "c": c}, 0))
+
+
+def _divergent():
+    return build_equivalent_dtmdp(gen_example(
+        "birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1}, 0))
+
+
+LOOP_CASES = [
+    pytest.param(lambda: _two_state(0.99), {}, id="two_state-c0.99"),
+    pytest.param(lambda: _two_state(0.999), {}, id="two_state-c0.999"),
+    *(pytest.param(lambda seed=seed: build_equivalent_dtmdp(gen_example(
+        "random", {"n": 64, "m": 8}, seed)), {}, id=f"random64x8-{seed}")
+      for seed in (1, 2, 3)),
+    pytest.param(_divergent, {}, id="birth_death63-pinned"),
+    pytest.param(lambda: build_equivalent_dtmdp(_stuck_model()), {},
+                 id="self-loop-pinned"),
+    pytest.param(lambda: build_equivalent_dtmdp(_stuck_model()),
+                 {"cap": math.inf}, id="self-loop-pinned-cap-inf"),
+    pytest.param(_divergent, {"cap": math.inf},
+                 id="birth_death63-pinned-cap-inf"),
+    pytest.param(_lagging_pair, {}, id="pinned-ahead-of-successor"),
+    pytest.param(_priced_chain, {"cap": 50.0, "max_iters": 30},
+                 id="pending-above-cap"),
+    pytest.param(lambda: _two_state(0.999), {"max_iters": 3},
+                 id="max_iters-3"),
+]
+
+
+def _reference_loop(sweep, n, tol=solver.DEFAULT_TOL,
+                    max_iters=solver.DEFAULT_MAX_ITERS, cap=solver.DEFAULT_CAP):
+    return _reference_iterate(sweep, n, tol, max_iters, cap)
+
+
+class TestLeanLoopMatchesReference:
+    @pytest.mark.parametrize("build, kwargs", LOOP_CASES)
+    def test_value_iterate(self, build, kwargs):
+        dtmdp = build()
+        weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
+        values, iterations, converged = _reference_loop(
+            lambda v: _reference_argmin_admissible(
+                _reference_masked_apply(weights, v), adm)[0],
+            dtmdp.n_states, **kwargs)
+        report = value_iterate(dtmdp, **kwargs)
+        assert report.value.values.tobytes() == values.tobytes()
+        assert (report.iterations, report.converged) == (iterations,
+                                                         converged)
+
+    def test_corpus_exercises_every_branch(self):
+        report = value_iterate(_priced_chain(), cap=50.0, max_iters=30)
+        assert not report.converged and report.iterations == 30
+        assert report.value.values == pytest.approx([1.0, 100.0, 200.0])
+        report = value_iterate(_divergent())
+        assert report.converged and len(report.infinite_states) == 63
+        report = value_iterate(_lagging_pair())
+        assert report.converged and report.infinite_states == {0, 1}
+
+    @pytest.mark.parametrize("build, kwargs", [
+        case for case in LOOP_CASES if case.id in (
+            "random64x8-1", "birth_death63-pinned",
+            "birth_death63-pinned-cap-inf", "pinned-ahead-of-successor",
+            "pending-above-cap", "max_iters-3")])
+    def test_evaluate_policy_iterative(self, monkeypatch, build, kwargs):
+        dtmdp = build()
+        policy = value_iterate(dtmdp).policy
+        rows = np.arange(dtmdp.n_states)
+        weights = dtmdp.step_weights[rows, np.asarray(policy.choice), :]
+        values, iterations, converged = _reference_loop(
+            lambda v: _reference_masked_apply(weights, v), dtmdp.n_states,
+            **kwargs)
+        lean = _recorded_loop(monkeypatch, evaluate_policy_iterative, dtmdp,
+                              policy, **kwargs)
+        assert lean[0].tobytes() == values.tobytes()
+        assert lean[1:] == (iterations, converged)
+
+    @pytest.mark.parametrize("cap", [1e12, 4.0], ids=["below-cap",
+                                                      "above-cap"])
+    def test_non_monotone_sweep_fails_alike(self, cap):
+        """State 0 doubles (past a cap of 4 on the third sweep); state 1
+        grows by one and dips on the sixth sweep."""
+        def dipping():
+            calls = [0]
+
+            def sweep(v):
+                calls[0] += 1
+                return np.array([2.0 * v[0],
+                                 v[1] - 0.5 if calls[0] == 6 else v[1] + 1.0])
+            return sweep, calls
+
+        errors = []
+        for iterate in (solver._iterate, _reference_iterate):
+            sweep, calls = dipping()
+            with pytest.raises(SolverError) as err:
+                iterate(sweep, 2, 1e-10, 100, cap)
+            errors.append((str(err.value), calls[0]))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("monotonicity violated at state index 1")
+        assert errors[0][1] == 6
