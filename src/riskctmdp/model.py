@@ -6,6 +6,9 @@ finite cost rates.  The diagonal of the rate kernel is always implied
 (minus the total outflow rate), never stored, so every row is conservative
 by construction.  State and action identifiers are strings in files and
 dense indices in memory; index order is file order.
+
+The model classes check every rule when they are built; validate_model
+only turns the entries of a model file into arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ class ModelError(ValueError):
 
 
 def _unique_names(names, what: str) -> tuple:
+    if not isinstance(names, (list, tuple)):
+        raise ModelError(
+            f"{what} list must be a list of names, got {type(names).__name__}")
     if not names:
         raise ModelError(f"{what} list is empty")
     seen = set()
@@ -34,14 +40,19 @@ def _unique_names(names, what: str) -> tuple:
     return tuple(names)
 
 
+_SELF_LOOP = "explicit self-loop rate at {}; the diagonal is implied"
+
+
 @dataclass(frozen=True, eq=False)
 class IndexedModel:
     """States, actions and per-state admissible action sets.
 
     The reduction keeps all three, so the continuous-time model and its
-    discrete-time equivalent share this base: the admissible mask, name
-    lookups, the policy check, equality and the sparse entry order of
-    their files.  Subclasses list their array fields in _ARRAYS.
+    discrete-time equivalent share this base: the name rules (non-empty
+    lists of unique strings; non-empty admissible sets in range, None
+    admitting every action), the admissible mask, name lookups, the policy
+    check, equality and the sparse entry order of their files.  Subclasses
+    list their array fields in _ARRAYS.
     """
 
     states: tuple
@@ -52,17 +63,29 @@ class IndexedModel:
     _ARRAYS = ()
 
     def __post_init__(self):
-        if not self.states:
-            raise ModelError("state list is empty")
-        mask = np.zeros((self.n_states, self.n_actions), dtype=bool)
-        for x, acts in enumerate(self.admissible):
+        states = _unique_names(self.states, "state")
+        actions = _unique_names(self.actions, "action")
+        n, m = len(states), len(actions)
+        admissible = ((tuple(range(m)),) * n if self.admissible is None
+                      else tuple(tuple(sorted(set(acts)))
+                                 for acts in self.admissible))
+        if len(admissible) != n:
+            raise ModelError(f"admissible sets given for {len(admissible)} "
+                             f"states, model has {n}")
+        mask = np.zeros((n, m), dtype=bool)
+        for x, acts in enumerate(admissible):
+            if not acts:
+                raise ModelError(f"empty admissible set for state '{states[x]}'")
             for a in acts:
-                if not 0 <= a < self.n_actions:
+                if not 0 <= a < m:
                     raise ModelError(
                         f"admissible action index {a} out of range at "
-                        f"state '{self.states[x]}'")
+                        f"state '{states[x]}'")
             mask[x, list(acts)] = True
         mask.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "admissible", admissible)
         object.__setattr__(self, "admissible_mask", mask)
 
     @property
@@ -114,6 +137,12 @@ class IndexedModel:
         return idx, [[axes[k][i] for i in ix.tolist()]
                      for k, ix in enumerate(idx)]
 
+    def _at(self, *index) -> str:
+        """Names of a (state, action) or (state, action, successor)
+        coordinate, as error messages print it."""
+        axes = (self.states, self.actions, self.states)
+        return str(tuple(axes[k][i] for k, i in enumerate(index)))
+
     def _names_dict(self) -> dict:
         return {
             "states": list(self.states),
@@ -135,11 +164,12 @@ class IndexedModel:
 
 @dataclass(frozen=True, eq=False)
 class CtmdpModel(IndexedModel):
-    """Validated continuous-time MDP; immutable after construction.
+    """Continuous-time MDP, checked when it is built; immutable after.
 
     rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
-    costs[x, a] the cost rate.  total_rates, max_total_rate and
-    max_cost_rate are cached over admissible actions.
+    costs[x, a] the cost rate; both must be finite and nonnegative.
+    total_rates, max_total_rate and max_cost_rate are cached over
+    admissible actions.
     """
 
     rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
@@ -152,6 +182,22 @@ class CtmdpModel(IndexedModel):
 
     def __post_init__(self):
         super().__post_init__()
+        n, m = self.n_states, self.n_actions
+        if self.rates.shape != (n, m, n) or self.costs.shape != (n, m):
+            raise ModelError(
+                f"rate/cost array shapes {self.rates.shape} and "
+                f"{self.costs.shape} do not match {n} states and {m} actions")
+        diag = np.argwhere(self.rates[np.arange(n), :, np.arange(n)] != 0.0)
+        if len(diag):
+            raise ModelError(_SELF_LOOP.format(self._at(*diag[0])))
+        for what, arr in (("rate", self.rates), ("cost", self.costs)):
+            bad = np.argwhere(~np.isfinite(arr) | (arr < 0.0))
+            if len(bad):
+                v, where = float(arr[tuple(bad[0])]), self._at(*bad[0])
+                raise ModelError(
+                    f"NaN {what} at {where}" if np.isnan(v)
+                    else f"negative {what} at {where}: {v}" if v < 0.0
+                    else f"infinite {what} at {where}")
         adm_mask = self.admissible_mask
         total = self.rates.sum(axis=2)
         masked_total = np.where(adm_mask, total, 0.0)
@@ -208,133 +254,114 @@ def parse_policy(model, data: dict) -> StationaryPolicy:
     mapping = data["policy"]
     if not isinstance(mapping, dict):
         raise ModelError('"policy" must map state names to action names')
-    choice = []
-    for x, name in enumerate(model.states):
-        if name not in mapping:
-            raise ModelError(f"policy is missing state '{name}'")
-        choice.append(model.action_index(mapping[name]))
-    return validate_policy(model, StationaryPolicy(tuple(choice)))
+    known = set(model.states)
+    unknown = [name for name in mapping if name not in known]
+    if unknown:
+        raise ModelError(f"unknown state '{unknown[0]}' in policy")
+    missing = [name for name in model.states if name not in mapping]
+    if missing:
+        raise ModelError(f"policy is missing state '{missing[0]}'")
+    choice = tuple(model.action_index(mapping[name]) for name in model.states)
+    return validate_policy(model, StationaryPolicy(choice))
 
 
-def _finite_nonneg(value, what: str, where: str) -> float:
+def _number(v) -> bool:
+    """A JSON number: int or float, not bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _resolve(index: dict, names: list) -> list:
+    """Indices of file names; None where a name is unknown."""
     try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"non-numeric {what} at {where}: {value!r}") from None
-    if np.isnan(v):
-        raise ModelError(f"NaN {what} at {where}")
-    if v < 0.0:
-        raise ModelError(f"negative {what} at {where}: {v}")
-    if np.isinf(v):
-        raise ModelError(f"infinite {what} at {where}")
-    return v
+        return list(map(index.get, names))
+    except TypeError:  # an unhashable name, which is never a string
+        return [index.get(n) if isinstance(n, str) else None for n in names]
+
+
+def _entries(raw_model: dict, lookups: tuple, key: str, fields: tuple,
+             what: str) -> tuple:
+    """Scatter the entries raw_model[key] of a model file into a dense
+    array; returns the index arrays and the array.  lookups map the names of
+    the coordinates `fields` to indices, in (state, action, successor)
+    order.  Unknown names, non-numeric values and repeated coordinates are
+    reported with their entry."""
+    entries = raw_model.get(key, [])
+    if not isinstance(entries, list):
+        raise ModelError(f'"{key}" must be a list of entries')
+    bad = [e for e in entries if not isinstance(e, dict)]
+    if bad:
+        raise ModelError(f"{key} entry {bad[0]!r} is not a mapping")
+    names = [[e.get(f) for e in entries] for f in fields]
+    coords = list(zip(*names))
+    ids = [_resolve(lookup, col) for lookup, col in zip(lookups, names)]
+    missing = [(col.index(None), k) for k, col in enumerate(ids) if None in col]
+    if missing:
+        i, k = min(missing)
+        raise ModelError(f"unknown {'action' if k == 1 else 'state'} "
+                         f"'{names[k][i]}' in {key} entry {coords[i]}")
+    values = [e.get("rate") for e in entries]
+    bad = [i for i, v in enumerate(values)  # type() first: fast for floats
+           if type(v) not in (float, int) and not _number(v)]
+    if bad:
+        raise ModelError(
+            f"non-numeric {what} at {coords[bad[0]]}: {values[bad[0]]!r}")
+    ids = tuple(np.array(col, dtype=np.intp) for col in ids)
+    dense = np.zeros(tuple(map(len, lookups)))
+    _, first = np.unique(np.ravel_multi_index(ids, dense.shape),
+                         return_index=True)
+    if len(first) < len(entries):
+        i = np.setdiff1d(np.arange(len(entries)), first)[0]
+        raise ModelError(f"duplicate {what} entry at {coords[i]}")
+    dense[ids] = values
+    return ids, dense
 
 
 def validate_model(raw_model) -> CtmdpModel:
-    """Validate untrusted model data (or re-validate a model) and cache sums.
+    """Build a model from parsed JSON in the model file schema.
 
-    Accepts either a parsed JSON dict in the model file schema or an
-    existing CtmdpModel; validating a validated model returns an equal
-    model.  Every violation is reported with its offending coordinates.
+    Resolves the names of the admissible map and of the entries and
+    scatters the entries into arrays; CtmdpModel checks the rest.  A
+    CtmdpModel is returned as it is: it was checked when it was built.
     """
     if isinstance(raw_model, CtmdpModel):
-        return _validate_arrays(raw_model)
+        return raw_model
     if not isinstance(raw_model, dict):
         raise ModelError(f"expected a model mapping, got {type(raw_model).__name__}")
-
-    states = _unique_names(raw_model.get("states", []), "state")
-    actions = _unique_names(raw_model.get("actions", []), "action")
-    sidx = {s: i for i, s in enumerate(states)}
-    aidx = {a: i for i, a in enumerate(actions)}
-    n, m = len(states), len(actions)
+    names = IndexedModel(raw_model.get("states", []),
+                         raw_model.get("actions", []), None)
+    sidx = {s: i for i, s in enumerate(names.states)}
+    aidx = {a: i for i, a in enumerate(names.actions)}
 
     adm_raw = raw_model.get("admissible")
     if adm_raw is None:
-        admissible = tuple(tuple(range(m)) for _ in range(n))
-    else:
-        if not isinstance(adm_raw, dict):
-            raise ModelError('"admissible" must map state names to action lists')
-        for name in adm_raw:
-            if name not in sidx:
-                raise ModelError(f"unknown state '{name}' in admissible map")
-        per_state = []
-        for s in states:
-            names = adm_raw.get(s)
-            if names is None:
-                per_state.append(tuple(range(m)))
-                continue
-            ids = set()
-            for a in names:
-                if a not in aidx:
-                    raise ModelError(
-                        f"unknown action '{a}' in admissible set of state '{s}'")
-                ids.add(aidx[a])
-            if not ids:
-                raise ModelError(f"empty admissible set for state '{s}'")
-            per_state.append(tuple(sorted(ids)))
-        admissible = tuple(per_state)
-
-    rates = np.zeros((n, m, n))
-    seen_rate = set()
-    for entry in raw_model.get("rates", []):
-        where = (entry.get("from"), entry.get("action"), entry.get("to"))
-        for key, names in (("from", sidx), ("action", aidx), ("to", sidx)):
-            if entry.get(key) not in names:
-                kind = "action" if key == "action" else "state"
-                raise ModelError(
-                    f"unknown {kind} '{entry.get(key)}' in rates entry {where}")
-        x, a, y = sidx[entry["from"]], aidx[entry["action"]], sidx[entry["to"]]
-        if x == y:
+        adm_raw = {}
+    if not isinstance(adm_raw, dict):
+        raise ModelError('"admissible" must map state names to action lists')
+    admissible = list(names.admissible)  # every action unless listed
+    for s, acts in adm_raw.items():
+        if s not in sidx:
+            raise ModelError(f"unknown state '{s}' in admissible map")
+        if acts is None:
+            continue
+        if not isinstance(acts, list):
             raise ModelError(
-                f"explicit self-loop rate at ('{entry['from']}', "
-                f"'{entry['action']}'); the diagonal is implied")
-        if (x, a, y) in seen_rate:
-            raise ModelError(f"duplicate rate entry at {where}")
-        seen_rate.add((x, a, y))
-        rates[x, a, y] = _finite_nonneg(entry.get("rate"), "rate", str(where))
+                f"admissible set of state '{s}' must be a list of action names")
+        ids = _resolve(aidx, acts)
+        if None in ids:
+            raise ModelError(f"unknown action '{acts[ids.index(None)]}' in "
+                             f"admissible set of state '{s}'")
+        admissible[sidx[s]] = ids
 
-    costs = np.zeros((n, m))
-    seen_cost = set()
-    for entry in raw_model.get("costs", []):
-        where = (entry.get("state"), entry.get("action"))
-        if entry.get("state") not in sidx:
-            raise ModelError(f"unknown state '{entry.get('state')}' in costs entry")
-        if entry.get("action") not in aidx:
-            raise ModelError(f"unknown action '{entry.get('action')}' in costs entry")
-        x, a = sidx[entry["state"]], aidx[entry["action"]]
-        if (x, a) in seen_cost:
-            raise ModelError(f"duplicate cost entry at {where}")
-        seen_cost.add((x, a))
-        costs[x, a] = _finite_nonneg(entry.get("rate"), "cost", str(where))
-
-    return CtmdpModel(states=states, actions=actions, admissible=admissible,
-                      rates=rates, costs=costs)
-
-
-def _validate_arrays(model: CtmdpModel) -> CtmdpModel:
-    n, m = model.n_states, model.n_actions
-    if model.rates.shape != (n, m, n) or model.costs.shape != (n, m):
-        raise ModelError("rate/cost array shapes do not match state/action sets")
-    diag = model.rates[np.arange(n), :, np.arange(n)]
-    if np.any(diag != 0.0):
-        x = int(np.argwhere(diag != 0.0)[0][0])
-        raise ModelError(f"explicit self-loop rate at ('{model.states[x]}')")
-    bad = ~np.isfinite(model.rates) | (model.rates < 0)
-    if np.any(bad):
-        x, a, y = (int(i) for i in np.argwhere(bad)[0])
-        raise ModelError(
-            f"invalid rate at ('{model.states[x]}', '{model.actions[a]}', "
-            f"'{model.states[y]}'): {model.rates[x, a, y]}")
-    bad = ~np.isfinite(model.costs) | (model.costs < 0)
-    if np.any(bad):
-        x, a = (int(i) for i in np.argwhere(bad)[0])
-        raise ModelError(
-            f"invalid cost at ('{model.states[x]}', '{model.actions[a]}'): "
-            f"{model.costs[x, a]}")
-    for x, acts in enumerate(model.admissible):
-        if not acts:
-            raise ModelError(f"empty admissible set for state '{model.states[x]}'")
-    return model
+    ids, rates = _entries(raw_model, (sidx, aidx, sidx), "rates",
+                          ("from", "action", "to"), "rate")
+    loops = np.flatnonzero(ids[0] == ids[2])
+    if len(loops):
+        i = loops[0]
+        raise ModelError(_SELF_LOOP.format(names._at(ids[0][i], ids[1][i])))
+    _, costs = _entries(raw_model, (sidx, aidx), "costs", ("state", "action"),
+                        "cost")
+    return CtmdpModel(states=names.states, actions=names.actions,
+                      admissible=admissible, rates=rates, costs=costs)
 
 
 def _require(params: dict, allowed: dict, kind: str) -> dict:
@@ -355,7 +382,7 @@ def _require(params: dict, allowed: dict, kind: str) -> dict:
 
 
 def _fin(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+    return _number(v) and np.isfinite(v)
 
 
 def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
@@ -378,37 +405,27 @@ def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
         raise ModelError(f"unknown generator kind '{kind}'")
     params = dict(params or {})
 
+    actions = ("a0",)
     if kind == "two_state":
         p = _require(params, {
             "q": (None, lambda v: _fin(v) and v > 0, "finite rate > 0"),
             "c": (None, lambda v: _fin(v) and v >= 0, "finite cost >= 0"),
         }, kind)
-        data = {
-            "states": ["absorb", "work"],
-            "actions": ["a0"],
-            "rates": [{"from": "work", "action": "a0", "to": "absorb",
-                       "rate": float(p["q"])}],
-            "costs": [{"state": "work", "action": "a0", "rate": float(p["c"])}],
-        }
-        return validate_model(data)
-
-    if kind == "pure_birth":
+        states = ("absorb", "work")
+        rates, costs = np.zeros((2, 1, 2)), np.zeros((2, 1))
+        rates[1, 0, 0], costs[1, 0] = p["q"], p["c"]
+    elif kind == "pure_birth":
         p = _require(params, {
             "N": (None, lambda v: isinstance(v, int) and 1 <= v <= 20, "int in 1..20"),
             "kappa": (1.0, lambda v: _fin(v) and v >= 0, "finite cost >= 0"),
         }, kind)
-        N, kappa = p["N"], float(p["kappa"])
-        data = {
-            "states": [str(i) for i in range(N + 1)],
-            "actions": ["a0"],
-            "rates": [{"from": str(i), "action": "a0", "to": str(i + 1),
-                       "rate": float(2 ** (i + 1))} for i in range(N)],
-            "costs": [{"state": str(i), "action": "a0", "rate": kappa}
-                      for i in range(N)],
-        }
-        return validate_model(data)
-
-    if kind == "birth_death":
+        N = p["N"]
+        states = tuple(str(i) for i in range(N + 1))
+        rates, costs = np.zeros((N + 1, 1, N + 1)), np.zeros((N + 1, 1))
+        i = np.arange(N)
+        rates[i, 0, i + 1] = 2.0 ** (i + 1)
+        costs[i, 0] = p["kappa"]
+    elif kind == "birth_death":
         p = _require(params, {
             "levels": (None, lambda v: isinstance(v, int) and 1 <= v <= 63,
                        "int in 1..63"),
@@ -417,47 +434,35 @@ def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
             "cost": (None, lambda v: _fin(v) and v >= 0, "finite cost >= 0"),
         }, kind)
         levels = p["levels"]
-        rates, costs = [], []
-        for i in range(1, levels + 1):
-            rates.append({"from": str(i), "action": "a0", "to": str(i - 1),
-                          "rate": float(p["death"])})
-            if i < levels and p["birth"] > 0:
-                rates.append({"from": str(i), "action": "a0", "to": str(i + 1),
-                              "rate": float(p["birth"])})
-            if p["cost"] > 0:
-                costs.append({"state": str(i), "action": "a0",
-                              "rate": float(p["cost"]) * i})
-        data = {
-            "states": [str(i) for i in range(levels + 1)],
-            "actions": ["a0"],
-            "rates": rates,
-            "costs": costs,
-        }
-        return validate_model(data)
-
-    p = _require(params, {
-        "n": (None, lambda v: isinstance(v, int) and 2 <= v <= 64, "int in 2..64"),
-        "m": (None, lambda v: isinstance(v, int) and 1 <= v <= 8, "int in 1..8"),
-        "rate_scale": (1.0, lambda v: _fin(v) and v > 0, "finite > 0"),
-        "cost_scale": (0.5, lambda v: _fin(v) and 0 <= v < 1, "in [0, 1)"),
-    }, kind)
-    n, m = p["n"], p["m"]
-    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    rates = np.zeros((n, m, n))
-    costs = np.zeros((n, m))
-    for x in range(1, n):
-        for a in range(m):
-            down = int(rng.integers(0, x))
-            rates[x, a, down] += p["rate_scale"] * (0.5 + rng.random())
-            if rng.random() < 0.5:
-                other = int(rng.integers(0, n - 1))
-                if other >= x:
-                    other += 1
-                rates[x, a, other] += p["rate_scale"] * (0.1 + 0.9 * rng.random())
-            costs[x, a] = rng.random() * p["cost_scale"] * rates[x, a].sum()
-    states = tuple(f"s{i}" for i in range(n))
-    actions = tuple(f"a{j}" for j in range(m))
-    admissible = tuple(tuple(range(m)) for _ in range(n))
-    return _validate_arrays(CtmdpModel(states=states, actions=actions,
-                                       admissible=admissible, rates=rates,
-                                       costs=costs))
+        states = tuple(str(i) for i in range(levels + 1))
+        rates = np.zeros((levels + 1, 1, levels + 1))
+        costs = np.zeros((levels + 1, 1))
+        i = np.arange(1, levels + 1)
+        rates[i, 0, i - 1] = p["death"]
+        rates[i[:-1], 0, i[:-1] + 1] = p["birth"]
+        costs[i, 0] = float(p["cost"]) * i
+    else:
+        p = _require(params, {
+            "n": (None, lambda v: isinstance(v, int) and 2 <= v <= 64, "int in 2..64"),
+            "m": (None, lambda v: isinstance(v, int) and 1 <= v <= 8, "int in 1..8"),
+            "rate_scale": (1.0, lambda v: _fin(v) and v > 0, "finite > 0"),
+            "cost_scale": (0.5, lambda v: _fin(v) and 0 <= v < 1, "in [0, 1)"),
+        }, kind)
+        n, m = p["n"], p["m"]
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        rates = np.zeros((n, m, n))
+        costs = np.zeros((n, m))
+        for x in range(1, n):
+            for a in range(m):
+                down = int(rng.integers(0, x))
+                rates[x, a, down] += p["rate_scale"] * (0.5 + rng.random())
+                if rng.random() < 0.5:
+                    other = int(rng.integers(0, n - 1))
+                    if other >= x:
+                        other += 1
+                    rates[x, a, other] += p["rate_scale"] * (0.1 + 0.9 * rng.random())
+                costs[x, a] = rng.random() * p["cost_scale"] * rates[x, a].sum()
+        states = tuple(f"s{i}" for i in range(n))
+        actions = tuple(f"a{j}" for j in range(m))
+    return CtmdpModel(states=states, actions=actions, admissible=None,
+                      rates=rates, costs=costs)

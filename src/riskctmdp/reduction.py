@@ -6,8 +6,8 @@ itself yields a proper stochastic kernel, and charging ln(w/(w - c)) per
 step makes the exponential-utility value of the embedded chain coincide
 with the value of the original jump process.  States, actions and
 admissible sets are preserved, so policies transfer verbatim: both model
-classes share model.IndexedModel, which owns the indexing and the policy
-check.
+classes share model.IndexedModel, which owns the name rules, the indexing
+and the policy check.
 """
 
 from __future__ import annotations
@@ -68,10 +68,9 @@ def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel
 
     Kernel entries must be nonnegative (NaN is rejected), and the rows of
     admissible state-action pairs must sum to 1 within 1e-12; log-cost
-    entries must be finite and nonnegative.
+    entries must be finite and nonnegative.  IndexedModel checks the
+    names and the admissible sets; None admits every action.
     """
-    states = tuple(states)
-    actions = tuple(actions)
     n, m = len(states), len(actions)
     kernel = np.asarray(kernel, dtype=float)
     log_cost = np.asarray(log_cost, dtype=float)
@@ -79,13 +78,6 @@ def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel
         log_cost = np.repeat(log_cost[:, :, None], n, axis=2)
     if kernel.shape != (n, m, n) or log_cost.shape != (n, m, n):
         raise ModelError("kernel/log_cost shapes do not match state/action sets")
-    if admissible is None:
-        admissible = tuple(tuple(range(m)) for _ in range(n))
-    else:
-        admissible = tuple(tuple(sorted(set(acts))) for acts in admissible)
-        for x, acts in enumerate(admissible):
-            if not acts:  # IndexedModel checks the index range
-                raise ModelError(f"empty admissible set for state '{states[x]}'")
 
     bad = ~(kernel >= 0)  # negative or NaN
     if np.any(bad):

@@ -61,7 +61,8 @@ class ValueFunction:
             raise ValueError("value function contains NaN")
         if np.any(vals < 1.0):
             x = int(np.argwhere(vals < 1.0)[0][0])
-            raise ValueError(f"value {vals[x]!r} at state index {x} is below 1")
+            raise ValueError(
+                f"value {float(vals[x])} at state index {x} is below 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -43,6 +43,23 @@ def test_validate_reports_coordinates_and_exit_1(tmp_path, capsys):
     assert "negative rate" in err and "'a'" in err
 
 
+@pytest.mark.parametrize("mutation, fragment", [
+    ({"rates": [3]}, "rates entry 3 is not a mapping"),
+    ({"admissible": {"a": 5}}, "admissible set of state 'a'"),
+    ({"states": "ab"}, "state list must be a list of names"),
+])
+def test_malformed_model_exit_1(tmp_path, capsys, mutation, fragment):
+    """Malformed structure is a ModelError, not a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps({"states": ["a", "b"], "actions": ["u"],
+                                 **mutation}))
+    status, out, err = _run(capsys, "validate", str(bad))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_1(capsys):
     status, _, err = _run(capsys, "solve", "/nonexistent/model.json")
     assert status == 1

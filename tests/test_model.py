@@ -70,6 +70,25 @@ def test_serialization_round_trip():
      "duplicate cost entry"),
     ({"states": ["absorb", "absorb"]}, "duplicate state"),
     ({"states": []}, "state list is empty"),
+    ({"states": "ab"}, "state list must be a list of names, got str"),
+    ({"rates": [3]}, "rates entry 3 is not a mapping"),
+    ({"rates": {"x": 1}}, '"rates" must be a list of entries'),
+    ({"costs": [["work", "a0", 1.0]]}, "costs entry ['work', 'a0', 1.0] is "
+                                       "not a mapping"),
+    ({"admissible": {"work": 5}},
+     "admissible set of state 'work' must be a list of action names"),
+    ({"rates": [{"from": ["work"], "action": "a0", "to": "absorb",
+                 "rate": 1.0}]}, "unknown state '['work']'"),
+    ({"rates": [{"from": "work", "action": "a0", "to": "absorb",
+                 "rate": True}]},
+     "non-numeric rate at ('work', 'a0', 'absorb'): True"),
+    ({"rates": [{"from": "work", "action": "a0", "to": "absorb",
+                 "rate": "1.5"}]},
+     "non-numeric rate at ('work', 'a0', 'absorb'): '1.5'"),
+    ({"costs": [{"state": "work", "action": "a0", "rate": False}]},
+     "non-numeric cost at ('work', 'a0'): False"),
+    ({"costs": [{"state": "work", "action": "a0", "rate": "1.5"}]},
+     "non-numeric cost at ('work', 'a0'): '1.5'"),
 ])
 def test_validation_errors_carry_coordinates(mutation, fragment):
     raw = {**TWO_STATE_RAW, **mutation}
@@ -187,6 +206,9 @@ def test_policy_parse_and_validate(two_state):
         parse_policy(two_state, {"policy": {"absorb": "a0", "work": "zz"}})
     with pytest.raises(ModelError, match='"policy"'):
         parse_policy(two_state, {"values": {}})
+    with pytest.raises(ModelError, match="unknown state 'ghost' in policy"):
+        parse_policy(two_state, {"policy": {"work": "a0", "absorb": "a0",
+                                            "ghost": "zz"}})
 
 
 def test_policy_admissibility_checked():
@@ -216,3 +238,78 @@ def test_admissible_index_out_of_range(index):
                                   admissible=((0,), (index,)),
                                   rates=np.zeros((2, 1, 2)),
                                   costs=np.zeros((2, 1))))
+
+
+def _arrays(rates=None, costs=None, admissible=((0,), (0,))):
+    """Keyword arguments of a two-state, one-action CtmdpModel (states
+    'absorb' and 'work', action 'a0') with the given entries changed."""
+    r = np.zeros((2, 1, 2))
+    c = np.zeros((2, 1))
+    for (x, y), value in (rates or {}).items():
+        r[x, 0, y] = value
+    for x, value in (costs or {}).items():
+        c[x, 0] = value
+    return dict(states=("absorb", "work"), actions=("a0",),
+                admissible=admissible, rates=r, costs=c)
+
+
+def _rate(value, to="absorb"):
+    return {"rates": [{"from": "work", "action": "a0", "to": to,
+                       "rate": value}]}
+
+
+def _cost(value):
+    return {"costs": [{"state": "work", "action": "a0", "rate": value}]}
+
+
+@pytest.mark.parametrize("mutation, arrays, message", [
+    (_rate(-1.0), _arrays(rates={(1, 0): -1.0}),
+     "negative rate at ('work', 'a0', 'absorb'): -1.0"),
+    (_rate(float("nan")), _arrays(rates={(1, 0): np.nan}),
+     "NaN rate at ('work', 'a0', 'absorb')"),
+    (_rate(float("inf")), _arrays(rates={(1, 0): np.inf}),
+     "infinite rate at ('work', 'a0', 'absorb')"),
+    (_cost(-0.5), _arrays(costs={1: -0.5}),
+     "negative cost at ('work', 'a0'): -0.5"),
+    (_cost(float("nan")), _arrays(costs={1: np.nan}),
+     "NaN cost at ('work', 'a0')"),
+    (_cost(float("inf")), _arrays(costs={1: np.inf}),
+     "infinite cost at ('work', 'a0')"),
+    (_rate(1.0, to="work"), _arrays(rates={(1, 1): 1.0}),
+     "explicit self-loop rate at ('work', 'a0'); the diagonal is implied"),
+    ({"admissible": {"work": []}}, _arrays(admissible=((0,), ())),
+     "empty admissible set for state 'work'"),
+    # a file cannot give a wrong shape: validate_model sizes the arrays
+    # from the name lists
+    (None, {**_arrays(), "rates": np.zeros((2, 1, 3))},
+     "rate/cost array shapes (2, 1, 3) and (2, 1) do not match 2 states "
+     "and 1 actions"),
+    (None, {**_arrays(), "costs": np.zeros((1, 2))},
+     "rate/cost array shapes (2, 1, 2) and (1, 2) do not match 2 states "
+     "and 1 actions"),
+], ids=["negative-rate", "nan-rate", "inf-rate", "negative-cost", "nan-cost",
+        "inf-cost", "self-loop", "empty-admissible", "rates-shape",
+        "costs-shape"])
+def test_both_routes_give_the_same_message(mutation, arrays, message):
+    """Each array rule is checked once, by the CtmdpModel constructor, so a
+    model file and a directly built model fail with the same message."""
+    if mutation is not None:
+        with pytest.raises(ModelError) as err:
+            validate_model({**TWO_STATE_RAW, "costs": [], **mutation})
+        assert str(err.value) == message
+    with pytest.raises(ModelError) as err:
+        CtmdpModel(**arrays)
+    assert str(err.value) == message
+
+
+def test_validate_model_returns_a_built_model_as_it_is():
+    model = CtmdpModel(**_arrays(rates={(1, 0): 4.0}))
+    assert validate_model(model) is model
+
+
+def test_direct_model_gets_the_name_rules():
+    with pytest.raises(ModelError, match="duplicate state identifier 'a'"):
+        CtmdpModel(**{**_arrays(), "states": ("a", "a")})
+    with pytest.raises(ModelError, match="admissible sets given for 1 "
+                                         "states, model has 2"):
+        CtmdpModel(**_arrays(admissible=((0,),)))

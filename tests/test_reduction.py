@@ -172,6 +172,13 @@ def test_make_dtmdp_validation():
         make_dtmdp(["a", "b"], ["u"], kernel, costs, admissible=[[1], [0]])
     with pytest.raises(ModelError, match="state list is empty"):
         make_dtmdp([], ["u"], np.zeros((0, 1, 0)), np.zeros((0, 1)))
+    with pytest.raises(ModelError, match="duplicate state identifier 'a'"):
+        make_dtmdp(["a", "a"], ["u"], kernel, costs)
+    with pytest.raises(ModelError, match="state identifier 3 is not a string"):
+        make_dtmdp(["a", 3], ["u"], kernel, costs)
+    with pytest.raises(ModelError, match="duplicate action identifier 'u'"):
+        make_dtmdp(["a", "b"], ["u", "u"], np.zeros((2, 2, 2)) + [1.0, 0.0],
+                   np.zeros((2, 2)))
 
 
 def test_row_sum_error_prints_a_plain_float():

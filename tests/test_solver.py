@@ -379,6 +379,11 @@ class TestValueFunction:
         with pytest.raises(ValueError):
             ValueFunction(np.array([0.999999, 1.0]))
 
+    def test_below_one_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as err:
+            ValueFunction(np.array([1.0, 0.5]))
+        assert str(err.value) == "value 0.5 at state index 1 is below 1"
+
     def test_json_values(self):
         vf = ValueFunction(np.array([1.0, np.inf]))
         assert vf.to_json_values() == [1.0, "inf"]
