@@ -270,6 +270,15 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _fits_float(v) -> bool:
+    """Whether a JSON number converts to a float."""
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def _resolve(index: dict, names: list) -> list:
     """Indices of file names; None where a name is unknown."""
     try:
@@ -312,7 +321,12 @@ def _entries(raw_model: dict, lookups: tuple, key: str, fields: tuple,
     if len(first) < len(entries):
         i = np.setdiff1d(np.arange(len(entries)), first)[0]
         raise ModelError(f"duplicate {what} entry at {coords[i]}")
-    dense[ids] = values
+    try:
+        dense[ids] = values
+    except OverflowError:  # an int literal beyond the float range
+        i = next(i for i, v in enumerate(values) if not _fits_float(v))
+        raise ModelError(f"{what} at {coords[i]} is beyond the float range") \
+            from None
     return ids, dense
 
 

@@ -23,14 +23,17 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DtmdpModel(IndexedModel):
-    """Discrete-time model with per-step kernel and multiplicative cost.
+    """Discrete-time model with per-step kernel and multiplicative cost,
+    checked when it is built; immutable after.
 
-    kernel[x, a] is a probability vector over successor states;
-    log_cost[x, a, y] >= 0 is the log of the per-step cost factor.  The
-    reduction produces log_cost constant in y, but the general slot is
-    kept so hand-built instances need no special casing.  step_weights =
-    kernel * exp(log_cost), the weights of the one-step operator, is
-    computed once here.
+    Both arrays have shape (n_states, n_actions, n_states).  kernel[x, a]
+    is a probability vector over successor states: no negative or NaN
+    entry, and the rows of admissible pairs sum to 1 within ROW_SUM_TOL.
+    log_cost[x, a, y] >= 0, finite, is the log of the per-step cost
+    factor.  The reduction produces log_cost constant in y, but the
+    general slot is kept so hand-built instances need no special casing.
+    step_weights = kernel * exp(log_cost), the weights of the one-step
+    operator, is computed once here.
     """
 
     kernel: np.ndarray  # (n_states, n_actions, n_states)
@@ -41,8 +44,29 @@ class DtmdpModel(IndexedModel):
 
     def __post_init__(self):
         super().__post_init__()
-        weights = self.kernel * np.exp(self.log_cost)
-        for arr in (self.kernel, self.log_cost, weights):
+        n, m = self.n_states, self.n_actions
+        kernel, log_cost = self.kernel, self.log_cost
+        if kernel.shape != (n, m, n) or log_cost.shape != (n, m, n):
+            raise ModelError("kernel/log_cost shapes do not match state/action sets")
+        bad = ~(kernel >= 0)  # negative or NaN
+        if np.any(bad):
+            x, a, y = np.argwhere(bad)[0]
+            what = "NaN" if np.isnan(kernel[x, a, y]) else "negative"
+            raise ModelError(
+                f"{what} kernel entry at {self._at(x, a, y)}: {kernel[x, a, y]}")
+        bad = ~np.isfinite(log_cost) | (log_cost < 0)
+        if np.any(bad):
+            x, a, y = np.argwhere(bad)[0]
+            raise ModelError(
+                f"invalid log-cost at {self._at(x, a, y)}: {log_cost[x, a, y]}")
+        sums = kernel.sum(axis=2)
+        bad = self.admissible_mask & (np.abs(sums - 1.0) > ROW_SUM_TOL)
+        if np.any(bad):
+            x, a = np.argwhere(bad)[0]
+            raise ModelError(f"kernel row at {self._at(x, a)} sums to "
+                             f"{float(sums[x, a])!r}, not 1")
+        weights = kernel * np.exp(log_cost)
+        for arr in (kernel, log_cost, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "step_weights", weights)
 
@@ -64,44 +88,19 @@ class DtmdpModel(IndexedModel):
 
 
 def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel:
-    """Validate and build a discrete-time model from arrays.
+    """Build a discrete-time model from array-likes.
 
-    Kernel entries must be nonnegative (NaN is rejected), and the rows of
-    admissible state-action pairs must sum to 1 within 1e-12; log-cost
-    entries must be finite and nonnegative.  IndexedModel checks the
-    names and the admissible sets; None admits every action.
+    An (n_states, n_actions) log_cost is constant in the successor and is
+    broadcast to (n_states, n_actions, n_states).  DtmdpModel checks the
+    rest; None admits every action.
     """
     n, m = len(states), len(actions)
     kernel = np.asarray(kernel, dtype=float)
     log_cost = np.asarray(log_cost, dtype=float)
     if log_cost.shape == (n, m):  # constant-in-successor costs
         log_cost = np.repeat(log_cost[:, :, None], n, axis=2)
-    if kernel.shape != (n, m, n) or log_cost.shape != (n, m, n):
-        raise ModelError("kernel/log_cost shapes do not match state/action sets")
-
-    bad = ~(kernel >= 0)  # negative or NaN
-    if np.any(bad):
-        x, a, y = (int(i) for i in np.argwhere(bad)[0])
-        what = "NaN" if np.isnan(kernel[x, a, y]) else "negative"
-        raise ModelError(
-            f"{what} kernel entry at ('{states[x]}', '{actions[a]}', "
-            f"'{states[y]}'): {kernel[x, a, y]}")
-    bad = ~np.isfinite(log_cost) | (log_cost < 0)
-    if np.any(bad):
-        x, a, y = (int(i) for i in np.argwhere(bad)[0])
-        raise ModelError(
-            f"invalid log-cost at ('{states[x]}', '{actions[a]}', "
-            f"'{states[y]}'): {log_cost[x, a, y]}")
-    model = DtmdpModel(states=states, actions=actions, admissible=admissible,
-                       kernel=kernel, log_cost=log_cost)
-    sums = kernel.sum(axis=2)
-    bad = model.admissible_mask & (np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if np.any(bad):
-        x, a = (int(i) for i in np.argwhere(bad)[0])
-        raise ModelError(
-            f"kernel row at ('{states[x]}', '{actions[a]}') sums to "
-            f"{float(sums[x, a])!r}, not 1")
-    return model
+    return DtmdpModel(states=states, actions=actions, admissible=admissible,
+                      kernel=kernel, log_cost=log_cost)
 
 
 def uniformization_weight(model: CtmdpModel) -> np.ndarray:

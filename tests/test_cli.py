@@ -273,3 +273,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert status == 1 and dropped in err
     status, out, _ = _run(capsys, "solve", "--help")
     assert status == 0 and "--max-iters" in out
+
+
+def test_int_beyond_the_float_range_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"states": ["a", "b"], "actions": ["u"], "rates": '
+                   '[{"from": "a", "action": "u", "to": "b", "rate": 1'
+                   + "0" * 400 + "}]}")
+    status, out, err = _run(capsys, "validate", str(bad))
+    assert status == 1
+    assert out == ""
+    assert err == ("error: rate at ('a', 'u', 'b') is beyond the float "
+                   "range\n")

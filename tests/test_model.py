@@ -313,3 +313,20 @@ def test_direct_model_gets_the_name_rules():
     with pytest.raises(ModelError, match="admissible sets given for 1 "
                                          "states, model has 2"):
         CtmdpModel(**_arrays(admissible=((0,),)))
+
+
+@pytest.mark.parametrize("key, entry, message", [
+    ("rates", {"from": "b", "action": "u", "to": "a", "rate": 10 ** 400},
+     "rate at ('b', 'u', 'a') is beyond the float range"),
+    ("rates", {"from": "b", "action": "u", "to": "a", "rate": -10 ** 400},
+     "rate at ('b', 'u', 'a') is beyond the float range"),
+    ("costs", {"state": "b", "action": "u", "rate": 10 ** 400},
+     "cost at ('b', 'u') is beyond the float range"),
+])
+def test_int_beyond_the_float_range_is_a_model_error(key, entry, message):
+    first = {"rates": {"from": "a", "action": "u", "to": "b", "rate": 1},
+             "costs": {"state": "a", "action": "u", "rate": 2.0}}[key]
+    raw = {"states": ["a", "b"], "actions": ["u"], key: [first, entry]}
+    with pytest.raises(ModelError) as err:
+        validate_model(raw)
+    assert str(err.value) == message

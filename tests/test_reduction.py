@@ -6,8 +6,8 @@ import pytest
 from riskctmdp import estimate_dtmdp_value_mc, jsonio
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
-from riskctmdp.reduction import (build_equivalent_dtmdp, make_dtmdp,
-                                 uniformization_weight)
+from riskctmdp.reduction import (DtmdpModel, build_equivalent_dtmdp,
+                                 make_dtmdp, uniformization_weight)
 from riskctmdp.solver import (ValueFunction, bellman_apply,
                               evaluate_policy_iterative,
                               evaluate_policy_linear, optimality_residual)
@@ -186,6 +186,35 @@ def test_row_sum_error_prints_a_plain_float():
         make_dtmdp(["a", "b"], ["u"], np.array([[[0.5, 0.6]], [[0.0, 1.0]]]),
                    np.zeros((2, 1)))
     assert str(err.value) == "kernel row at ('a', 'u') sums to 1.1, not 1"
+
+
+_GOOD_KERNEL = [[[0.5, 0.5]], [[0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("kernel, log_cost, message", [
+    (np.full((2, 1, 3), 1 / 3), np.zeros((2, 1, 3)),
+     "kernel/log_cost shapes do not match state/action sets"),
+    (_GOOD_KERNEL, np.zeros((2, 2, 2)),
+     "kernel/log_cost shapes do not match state/action sets"),
+    ([[[-0.5, 1.5]], [[0.0, 1.0]]], np.zeros((2, 1, 2)),
+     "negative kernel entry at ('a', 'u', 'a'): -0.5"),
+    ([[[0.5, 0.5]], [[np.nan, 1.0]]], np.zeros((2, 1, 2)),
+     "NaN kernel entry at ('b', 'u', 'a'): nan"),
+    (_GOOD_KERNEL, [[[0.0, -1.0]], [[0.0, 0.0]]],
+     "invalid log-cost at ('a', 'u', 'b'): -1.0"),
+    (_GOOD_KERNEL, [[[0.0, 0.0]], [[np.inf, 0.0]]],
+     "invalid log-cost at ('b', 'u', 'a'): inf"),
+    ([[[0.5, 0.6]], [[0.0, 1.0]]], np.zeros((2, 1, 2)),
+     "kernel row at ('a', 'u') sums to 1.1, not 1"),
+])
+def test_kernel_rules_hold_for_both_constructors(kernel, log_cost, message):
+    """A directly built DtmdpModel is checked like one from make_dtmdp."""
+    kernel, log_cost = np.array(kernel), np.array(log_cost, dtype=float)
+    for build in (DtmdpModel, make_dtmdp):
+        with pytest.raises(ModelError) as err:
+            build(states=("a", "b"), actions=("u",), admissible=None,
+                  kernel=kernel, log_cost=log_cost)
+        assert str(err.value) == message
 
 
 def test_to_dict_log_cost_per_successor():
