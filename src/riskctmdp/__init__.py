@@ -23,7 +23,8 @@ from .solver import (OracleGuardError, SolveReport, SolverError,
                      ValueFunction, bellman_apply, check_supersolution,
                      evaluate_policy_iterative, evaluate_policy_linear,
                      extract_policy, finite_horizon_oracle,
-                     optimality_residual, solve_ctmdp, value_iterate)
+                     optimality_residual, policy_iterate, solve_ctmdp,
+                     value_iterate)
 
 __version__ = "0.1.0"
 
@@ -36,7 +37,8 @@ __all__ = [
     "evaluate_policy_iterative", "evaluate_policy_linear", "ext_div",
     "ext_exp", "ext_mul", "ext_sub_clamped", "extract_policy",
     "finite_horizon_oracle", "gen_example", "make_dtmdp",
-    "optimality_residual", "parse_policy", "sample_trajectory", "solve_ctmdp",
+    "optimality_residual", "parse_policy", "policy_iterate",
+    "sample_trajectory", "solve_ctmdp",
     "trajectory_stream", "uniformization_weight", "validate_model",
     "validate_policy", "value_iterate",
 ]

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", "validate a model file and print its normalized form")
     add("reduce", "emit the equivalent discrete-time model")
-    add("solve", "value-iterate and emit values, policy, and residual",
+    add("solve", "solve by policy iteration; emit values, policy, residual",
         solver=True)
     add("evaluate", "evaluate a policy by both methods", solver=True,
         policy=True)

@@ -6,20 +6,31 @@ The one-step operator maps a value vector v >= 1 to
 
 with the convention that a zero-probability transition contributes nothing
 even when v(y) is infinite.  The weights kernel(x,a)[y] e^{l(x,a,y)} are
-computed once per model and read from DtmdpModel.step_weights.  Iterating T from the constant 1 produces a
-monotone nondecreasing sequence; its limit is the value of the model, and
-the per-state argmin of T at the limit is an optimal stationary policy.
-Divergence to infinity is detected by a cap heuristic: a state whose
-iterate exceeds the cap and keeps growing for a fixed number of sweeps is
-classified infinite and pinned there.  That bookkeeping starts only once
-an iterate passes the cap or is infinite; before that no state can be
-pending or pinned, so a sweep just floors, checks monotonicity and
-measures the change, and the classification is the same as if it ran on
-every sweep.
+computed once per model and read from DtmdpModel.step_weights.  Iterating
+T from the constant 1 produces a monotone nondecreasing sequence; its
+limit is the value of the model.
 
-Alongside the iteration the module provides a direct linear-system policy
-evaluator, residual checks against the original continuous-time model, and
-a brute-force strategy-enumeration oracle for small finite horizons.
+solve_ctmdp finishes by policy iteration (policy_iterate): a few sweeps
+of value iteration give a first policy, and each step evaluates the
+policy exactly (evaluate_policy_linear: one LU solve, certified by an
+M-matrix test) and switches states to strictly better actions.  It stops
+when no state switches, at the value of an optimal stationary policy,
+which the paper shows exists.  value_iterate alone is plain value
+iteration, the route solve_ctmdp took before.
+
+Value iteration detects divergence to infinity by a cap heuristic: a
+state whose iterate exceeds the cap and keeps growing for a fixed number
+of sweeps is classified infinite and pinned there.  Under policy
+iteration it only confirms the states that the final policy leaves
+infinite.  That bookkeeping starts only once an iterate passes the cap or
+is infinite; before that no state can be pending or pinned, so a sweep
+just floors, checks monotonicity and measures the change, and the
+classification is the same as if it ran on every sweep.
+
+The module also provides residual checks against the original
+continuous-time model, an iterative policy evaluator kept as an
+independent cross-check, and a brute-force strategy-enumeration oracle for
+small finite horizons.
 """
 
 from __future__ import annotations
@@ -36,6 +47,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 DEFAULT_CAP = 1e12
 DIVERGENCE_SWEEPS = 10  # consecutive growing sweeps above cap before pinning
+WARM_SWEEPS = 20  # value-iteration sweeps before the first policy is taken
+IMPROVE_RTOL = 1e-12  # an action must beat the current one by this factor
 ORACLE_BUDGET = 10 ** 7
 ORACLE_MAX_HORIZON = 6
 
@@ -159,7 +172,7 @@ def extract_policy(dtmdp: DtmdpModel, v: ValueFunction) -> StationaryPolicy:
 def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
     x = int(np.argwhere(tv < v)[0][0])
     return SolverError(f"monotonicity violated at state index {x}: "
-                       f"{v[x]!r} -> {tv[x]!r}")
+                       f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
 def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
@@ -265,60 +278,148 @@ def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
     return ValueFunction(vals)
 
 
-def evaluate_policy_linear(dtmdp: DtmdpModel,
-                           policy: StationaryPolicy) -> ValueFunction:
-    """Fixed-policy value by solving the linear fixed-point system.
+def _policy_system(model, choice: np.ndarray):
+    """The fixed-policy equations d(x) V(x) = sum over y != x of
+    inflow(x, y) V(y); the sum of magnitudes each d(x) is the difference
+    of, which bounds its rounding; and which states pay a positive cost.
 
-    States whose policy row is an exact self-loop are boundary (value 1)
-    at zero step cost, or divergent (value inf) at positive step cost;
-    every state that reaches a divergent state with positive probability
-    is infinite as well.  The remaining states solve
-    (I - M) V = M_boundary 1 with M the cost-weighted policy kernel.  If
-    that system is singular, supercritical, or produces a value below 1,
-    the iterative evaluator is used instead; the returned value function
-    carries a diagnostics dict recording which route was taken.
+    On the discrete-time model d = 1 - W(x, x) and inflow is W off the
+    diagonal, W the policy's step weights.  On the continuous-time model
+    these equations times w(x) - c(x) read d = total rate - cost rate and
+    inflow = rates: the uniformization weight cancels, and d keeps every
+    digit when the cost rate is close to the total rate, where 1 - W(x, x)
+    has lost them to rounding.
     """
-    choice = dtmdp.check_policy(policy)
-    n = dtmdp.n_states
-    rows = np.arange(n)
-    kp = dtmdp.kernel[rows, choice, :]
-    weights = dtmdp.step_weights[rows, choice, :]
-    self_cost = dtmdp.log_cost[rows, choice, rows]
+    rows = np.arange(model.n_states)
+    if isinstance(model, CtmdpModel):
+        total = model.total_rates[rows, choice]
+        costs = model.costs[rows, choice]
+        return (total - costs, total + costs, model.rates[rows, choice],
+                costs > 0.0)
+    inflow = model.step_weights[rows, choice]
+    costly = ((model.kernel[rows, choice] > 0.0)
+              & (model.log_cost[rows, choice] > 0.0)).any(axis=1)
+    stay = inflow[rows, rows].copy()
+    inflow[rows, rows] = 0.0
+    return 1.0 - stay, 1.0 + stay, inflow, costly
 
-    off_diag = kp.copy()
-    off_diag[rows, rows] = 0.0
-    delta_row = ~(off_diag > 0).any(axis=1)
-    boundary = delta_row & (self_cost == 0.0)
-    infinite = delta_row & (self_cost > 0.0)
-    # close the infinite set under "can reach with positive probability"
+
+def _reaching(succ: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """The seed states and every state with a path of edges into them."""
+    hit = seed.copy()
     while True:
-        newly = ~infinite & (kp[:, infinite] > 0).any(axis=1)
+        newly = ~hit & succ[:, hit].any(axis=1)
         if not newly.any():
+            return hit
+        hit |= newly
+
+
+def _certified_solve(d, gross, off, b):
+    """The solution of a x = b for a = diag(d) - off, or None unless a is
+    certified to be a nonsingular M-matrix.
+
+    off is nonnegative.  Such an a is a nonsingular M-matrix exactly when
+    a u > 0 for some u > 0 (Berman and Plemmons, Nonnegative Matrices in
+    the Mathematical Sciences, ch. 6); for a = I - W that is the spectral
+    radius of W below 1.  So a u = 1 is solved too, and u > 0 is checked
+    along with a u exceeding a bound on its rounding, in which each d is
+    taken as uncertain in proportion to gross, the magnitudes it was
+    computed from.  The two right-hand sides go to two calls: stacked in
+    one call, the solution of a x = b can round differently in the last
+    bit than it does alone.
+    """
+    a = np.diag(d) - off
+    try:
+        x = np.linalg.solve(a, b)
+        u = np.linalg.solve(a, np.ones(len(b)))
+    except np.linalg.LinAlgError:  # exactly singular
+        return None
+    bound = (len(b) + 1) * np.finfo(float).eps * (gross * u + off @ u)
+    certified = u.min() > 0.0 and (a @ u - bound).min() > 0.0
+    return x if certified and np.isfinite(x).all() else None
+
+
+def _sink_classes_first(succ: np.ndarray) -> list:
+    """Strongly connected classes of a boolean adjacency matrix, each an
+    index array, every class after all classes it reaches.
+
+    reach, the reflexive transitive closure, comes from repeated squaring;
+    two states share a class when each reaches the other.  A class that
+    reaches another reaches strictly more states, so sorting the classes
+    by how many states they reach puts the sinks first.
+    """
+    reach = succ | np.eye(len(succ), dtype=bool)
+    while True:
+        paths = reach.astype(float)
+        wider = paths @ paths > 0.0
+        if np.array_equal(wider, reach):
             break
-        infinite |= newly
-    transient = ~boundary & ~infinite
+        reach = wider
+    same = reach & reach.T
+    heads = np.unique(np.argmax(same, axis=1))  # lowest state of each class
+    heads = heads[np.argsort(reach[heads].sum(axis=1), kind="stable")]
+    return [np.flatnonzero(same[h]) for h in heads]
 
-    def fallback(reason: str) -> ValueFunction:
-        vf = evaluate_policy_iterative(dtmdp, policy)
-        return ValueFunction(vf.values,
-                             diagnostics={"method": "iterative_fallback",
-                                          "reason": reason})
 
-    vals = np.ones(n)
-    vals[infinite] = np.inf
+def _solve_by_class(d, gross, inflow, vals, transient) -> None:
+    """Value the transient states one strongly connected class at a time,
+    sinks first, writing into vals.  A class with an edge into an infinite
+    state, or whose block fails the certificate, is infinite, and so in
+    turn is every class that reaches it."""
+    t = np.flatnonzero(transient)
+    infinite = np.isinf(vals) & ~transient
+    safe = np.where(transient | infinite, 0.0, vals)  # solved values, else 0
+    for members in _sink_classes_first(inflow[np.ix_(t, t)] > 0.0):
+        c = t[members]
+        rows = inflow[c]
+        x = None if (rows[:, infinite] > 0.0).any() else _certified_solve(
+            d[c], gross[c], rows[:, c], rows @ safe)
+        if x is None:
+            vals[c] = np.inf
+            infinite[c] = True
+        else:
+            vals[c] = safe[c] = np.maximum(x, 1.0)
+
+
+def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
+    """Exact fixed-policy value from one linear solve, certified.
+
+    model is a DtmdpModel, or the CtmdpModel it was reduced from: both
+    have the same value, and the continuous-time form solves the same
+    equations without the uniformization weight (see _policy_system).
+
+    States that cannot reach a positive cost under the policy, every
+    closed zero-cost class among them, have value exactly 1.  A state
+    with no successor but itself at positive cost is infinite, and so is
+    every state that reaches it.  One LU solve values all other states
+    and certifies the result (_certified_solve).  Only if that
+    certificate fails are the states split into strongly connected
+    classes and certified one class at a time, sinks first; a class that
+    fails is infinite, and so is every state that reaches it.  The
+    diagnostics dict records the route, always "linear".
+
+    A failed certificate is reported as infinite, also where the value is
+    finite but beyond what double precision can certify: the rounding
+    bound grows with u, which is about the expected number of steps, so a
+    class that takes more than about 1e15 / n steps to leave fails
+    whatever its cost.  solve_ctmdp then reports converged=False, because
+    value iteration finds such a state finite.
+    """
+    choice = model.check_policy(policy)
+    d, gross, inflow, costly = _policy_system(model, choice)
+    succ = inflow > 0.0
+    unit = ~_reaching(succ, costly)
+    infinite = _reaching(succ, costly & ~succ.any(axis=1))
+    transient = ~unit & ~infinite
+    vals = np.where(unit, 1.0, np.inf)
     if transient.any():
-        m_tt = weights[np.ix_(transient, transient)]
-        rhs = weights[np.ix_(transient, boundary)].sum(axis=1)
-        radius = float(np.abs(np.linalg.eigvals(m_tt)).max())
-        if radius >= 1.0 - 1e-12:
-            return fallback(f"spectral radius {radius} not below 1")
-        try:
-            solution = np.linalg.solve(np.eye(m_tt.shape[0]) - m_tt, rhs)
-        except np.linalg.LinAlgError:
-            return fallback("singular linear system")
-        if np.any(solution < 1.0 - 1e-9):
-            return fallback("linear solution dipped below 1")
-        vals[transient] = np.maximum(solution, 1.0)
+        t = np.flatnonzero(transient)
+        x = _certified_solve(d[t], gross[t], inflow[np.ix_(t, t)],
+                             inflow[t][:, unit].sum(axis=1))
+        if x is None:
+            _solve_by_class(d, gross, inflow, vals, transient)
+        else:
+            vals[t] = np.maximum(x, 1.0)
     return ValueFunction(vals, diagnostics={"method": "linear"})
 
 
@@ -396,13 +497,131 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     return ValueFunction(np.maximum(best, 1.0))
 
 
+def _unit_actions(dtmdp: DtmdpModel):
+    """The states of value exactly 1 and, per state, the lowest-index
+    action that keeps them there.
+
+    A state has value 1 exactly when some policy keeps it on zero-cost
+    steps forever: the largest set of states each with an admissible
+    zero-cost action whose successors all lie in the set.
+    """
+    zero = dtmdp.admissible_mask & ~((dtmdp.kernel > 0.0)
+                                     & (dtmdp.log_cost > 0.0)).any(axis=2)
+    unit = np.ones(dtmdp.n_states, dtype=bool)
+    while True:
+        stays = zero & ~(dtmdp.kernel[:, :, ~unit] > 0.0).any(axis=2)
+        kept = stays.any(axis=1)
+        if (kept == unit).all():
+            return unit, np.argmax(stays, axis=1)
+        unit = kept
+
+
+def _policy_iterate(dtmdp: DtmdpModel, exact, tol: float, max_iters: int,
+                    cap: float) -> SolveReport:
+    """policy_iterate, evaluating each policy on `exact`: dtmdp itself or
+    the continuous-time model it was reduced from."""
+    rows = np.arange(dtmdp.n_states)
+    adm = dtmdp.admissible_mask
+    unit, unit_action = _unit_actions(dtmdp)
+
+    def start(report):
+        # states of value 1 keep to zero-cost steps: otherwise improvement
+        # can stop at a larger fixed point, where a zero-cost cycle ties
+        # with the policy's own value and is never switched to
+        return np.where(unit, unit_action, report.policy.choice)
+
+    vi = value_iterate(dtmdp, tol=tol, max_iters=min(WARM_SWEEPS, max_iters),
+                       cap=cap)
+    sweeps, budget = vi.iterations, max_iters - vi.iterations
+    choice, confirmed = start(vi), False
+    while True:
+        while True:  # Howard's improvement, one evaluation per step
+            if budget == 0:
+                return replace(vi, iterations=sweeps, converged=False)
+            budget -= 1
+            u = evaluate_policy_linear(
+                exact, StationaryPolicy(tuple(choice.tolist()))).values
+            after = np.where(adm, _masked_apply(dtmdp.step_weights, u),
+                             np.inf)
+            best, lowest = _argmin_admissible(after, adm)
+            switch = best < after[rows, choice] * (1.0 - IMPROVE_RTOL)
+            if not switch.any():
+                break
+            choice = np.where(switch, lowest, choice)
+        infinite = np.isinf(u)
+        if confirmed or not infinite.any():
+            break
+        # the states this policy leaves infinite are checked by value
+        # iteration's cap heuristic; a state it finds finite restarts
+        # improvement from its greedy policy
+        if budget == 0:
+            return replace(vi, iterations=sweeps, converged=False)
+        vi = value_iterate(dtmdp, tol=tol, max_iters=budget, cap=cap)
+        sweeps, budget = sweeps + vi.iterations, budget - vi.iterations
+        if not vi.converged:
+            return replace(vi, iterations=sweeps)
+        confirmed = True
+        if not (infinite & vi.value.finite_mask).any():
+            break
+        choice = start(vi)
+    # a state is reported infinite only when value iteration agrees
+    disputed = infinite & vi.value.finite_mask
+    u = np.where(disputed, vi.value.values, u)
+    choice = np.where(np.isinf(u), np.argmax(adm, axis=1), choice)
+    finite = np.isfinite(u) & np.isfinite(best)
+    tu = np.maximum(best[finite], 1.0)
+    resid = float(np.max(np.abs(tu - u[finite]) / u[finite])) \
+        if finite.any() else 0.0
+    return SolveReport(value=ValueFunction(u),
+                       policy=StationaryPolicy(tuple(choice.tolist())),
+                       iterations=sweeps, sup_residual=resid,
+                       infinite_states=frozenset(
+                           np.flatnonzero(np.isinf(u)).tolist()),
+                       converged=not disputed.any())
+
+
+def policy_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS,
+                   cap: float = DEFAULT_CAP) -> SolveReport:
+    """Warm-started policy iteration (Howard and Matheson, Management
+    Science 18(7), 1972) with exact policy evaluation.
+
+    WARM_SWEEPS sweeps of value_iterate give the first policy, its
+    lowest-index greedy one, except that states of value 1 take an action
+    that keeps them on zero-cost steps (see _unit_actions).  Each step
+    evaluates the policy with
+    evaluate_policy_linear and switches a state to the lowest-index
+    argmin of the one-step operator at that value, but only where it
+    beats the current action by the factor 1 - IMPROVE_RTOL; an infinite
+    value is beaten by any finite one.  Improvement stops when no state
+    switches.  A finite value is then the value of a policy, an upper
+    bound on the optimal value, and no action improves on it.
+
+    If the policy leaves states infinite, value_iterate runs in full and
+    its cap heuristic checks them.  If it finds one finite, improvement
+    restarts once from its greedy policy; a state still infinite after
+    that but finite to value iteration keeps value iteration's value and
+    the report says converged=False.
+
+    iterations counts the sweeps of value_iterate (the warm start and any
+    check).  max_iters bounds sweeps plus improvement steps; when it runs
+    out, the report holds the last value-iteration iterate with
+    converged=False.
+    """
+    return _policy_iterate(dtmdp, dtmdp, tol, max_iters, cap)
+
+
 def solve_ctmdp(model: CtmdpModel, tol: float = DEFAULT_TOL,
                 max_iters: int = DEFAULT_MAX_ITERS,
                 cap: float = DEFAULT_CAP):
-    """Reduce, solve, extract a policy, and attach the continuous-time
-    optimality residual.  Returns (report, reduced model)."""
+    """Reduce, solve by policy iteration, and attach the continuous-time
+    optimality residual.  Returns (report, reduced model).
+
+    Each policy is evaluated on the continuous-time model, which keeps
+    near-critical values exact (see _policy_system).
+    """
     dtmdp = build_equivalent_dtmdp(model)
-    report = value_iterate(dtmdp, tol=tol, max_iters=max_iters, cap=cap)
+    report = _policy_iterate(dtmdp, model, tol, max_iters, cap)
     residuals = optimality_residual(model, report.value)
     sup = max((abs(r) for r in residuals.values()), default=0.0)
     return replace(report, sup_residual=float(sup)), dtmdp

@@ -1,19 +1,21 @@
 """Shared fixtures: closed-form models and pinned random-instance corpora.
 
 The random corpora are screened for conditioning: an instance is accepted
-only if its solve converges within 200 sweeps at tol 1e-12, so that the
-stopped iterate sits within ~10*tol of the exact fixed point and the
+only if value iteration converges within 200 sweeps at tol 1e-12, so that
+the stopped iterate sits within ~10*tol of the exact fixed point and the
 policy-verification comparisons are numerically meaningful.  Seeds are
 walked in a fixed order, so the accepted corpus is fully pinned.
 """
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riskctmdp import (StationaryPolicy, build_equivalent_dtmdp, gen_example,
-                       solve_ctmdp)
+                       optimality_residual, value_iterate)
+from riskctmdp.solver import DEFAULT_TOL
 
 CORPUS_TOL = 1e-12
 CORPUS_MAX_SWEEPS = 200
@@ -47,6 +49,16 @@ def only_policy(model):
     return StationaryPolicy((0,) * model.n_states)
 
 
+def vi_solve(model, tol=DEFAULT_TOL):
+    """solve_ctmdp by plain value iteration, the route it took before
+    policy iteration: the report carries the continuous-time residual."""
+    dtmdp = build_equivalent_dtmdp(model)
+    report = value_iterate(dtmdp, tol=tol)
+    residuals = optimality_residual(model, report.value)
+    sup = max((abs(r) for r in residuals.values()), default=0.0)
+    return replace(report, sup_residual=float(sup)), dtmdp
+
+
 def build_conditioned_corpus(count, base_seed, n_range, m_range,
                              max_sweeps=CORPUS_MAX_SWEEPS):
     items = []
@@ -58,7 +70,7 @@ def build_conditioned_corpus(count, base_seed, n_range, m_range,
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         m = int(rng.integers(m_range[0], m_range[1] + 1))
         model = gen_example("random", {"n": n, "m": m}, seed)
-        report, dtmdp = solve_ctmdp(model, tol=CORPUS_TOL)
+        report, dtmdp = vi_solve(model, tol=CORPUS_TOL)
         if report.converged and report.iterations <= max_sweeps:
             items.append(CorpusItem(seed, n, m, model, report, dtmdp))
     return items
@@ -85,7 +97,7 @@ def oracle_corpus():
         seed = 20_000 + offset
         offset += 1
         model = gen_example("random", {"n": n, "m": m}, seed)
-        report, dtmdp = solve_ctmdp(model, tol=CORPUS_TOL)
+        report, dtmdp = vi_solve(model, tol=CORPUS_TOL)
         if report.converged and report.iterations <= CORPUS_MAX_SWEEPS:
             items.append(OracleItem(seed, model, dtmdp, report, hmax))
     return items

@@ -90,6 +90,22 @@ def test_solve_non_convergence_exit_2(tmp_path, capsys):
     assert jsonio.loads(out)["converged"] is False
 
 
+@pytest.mark.parametrize("c", [1.0 - 1e-5, 1.0 - 1e-8])
+def test_near_critical_solve_is_exact(tmp_path, capsys, c):
+    """two_state q=1: V(work) = q/(q-c), 1e5 and 1e8 sojourn-cost factors."""
+    path = tmp_path / "model.json"
+    assert cli.main(["gen", "--kind", "two_state", "--params",
+                     jsonio.dumps({"q": 1.0, "c": c}), "--out",
+                     str(path)]) == 0
+    status, out, _ = _run(capsys, "solve", str(path))
+    assert status == 0
+    report = jsonio.loads(out)
+    assert report["converged"] is True and report["infinite_states"] == []
+    want = 1.0 / (1.0 - c)
+    assert abs(report["values"]["work"] - want) <= 1e-9 * want
+    assert report["values"]["absorb"] == 1.0
+
+
 def test_solve_reports_infinite_states(tmp_path, capsys):
     path = tmp_path / "stuck.json"
     path.write_text(jsonio.dumps({
@@ -164,10 +180,17 @@ def test_simulate_report(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _golden(name, command, *flags, id=None):
+def _golden(name, command, *flags, id=None, report=None):
     """A CLI run on golden/<name>.model.json and its recorded report."""
     return pytest.param([command, str(GOLDEN / f"{name}.model.json"), *flags],
-                        f"{name}.{command}.json", id=id or f"{name}-{command}")
+                        report or f"{name}.{command}.json",
+                        id=id or f"{name}-{command}")
+
+
+def _solve_golden(name):
+    """The solve report of the policy-iteration route; golden/<name>.solve.json
+    holds the value-iteration report (see test_policy_iteration.py)."""
+    return _golden(name, "solve", report=f"{name}.solve-pi.json")
 
 
 def _policy(name):
@@ -183,12 +206,12 @@ def _policy(name):
       for case in (
           _golden(name, "validate"),
           _golden(name, "reduce"),
-          _golden(name, "solve"),
+          _solve_golden(name),
           _golden(name, "evaluate", "--policy",
                   str(GOLDEN / f"{name}.solve.json")),
           _golden(name, "oracle", "--horizon", horizon))),
-    _golden("near_critical", "solve"),
-    _golden("divergent", "solve"),
+    _solve_golden("near_critical"),
+    _solve_golden("divergent"),
 ])
 def test_report_bytes_unchanged(capsys, args, report):
     """Reports recorded before the code they exercise was rewritten.
@@ -201,10 +224,11 @@ def test_report_bytes_unchanged(capsys, args, report):
     admissible map and some zero costs; infinite has a costly trap, a
     state that reaches it under every action, a divergent pair found by
     the cap heuristic, and a finite state with one action into the trap.
-    near_critical (two_state q=1 c=0.999, 30 842 sweeps) and divergent
-    (birth_death levels=63 birth=3 death=1 cost=1, 63 states pinned
-    infinite) come from the loop that ran the cap bookkeeping on every
-    sweep.
+    near_critical is two_state q=1 c=0.999 and divergent is birth_death
+    levels=63 birth=3 death=1 cost=1, with 63 states infinite.  The solve
+    reports (*.solve-pi.json) were written when solve moved to policy
+    iteration, and infinite.evaluate.json when the evaluator lost its
+    iterative fallback; the others are older than those changes.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0

@@ -1,0 +1,262 @@
+"""Policy iteration, the default solve route, against exhaustive search over
+stationary policies, and the exact evaluator it stands on."""
+
+import hashlib
+import itertools
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riskctmdp import cli, jsonio, solver
+from riskctmdp.model import StationaryPolicy, gen_example, validate_model
+from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
+from riskctmdp.solver import (evaluate_policy_iterative,
+                              evaluate_policy_linear, policy_iterate,
+                              solve_ctmdp, value_iterate)
+from conftest import only_policy, vi_solve
+
+GOLDEN = Path(__file__).parent / "golden"
+ORACLE_RTOL = 1e-9
+
+
+def _seed_digest(items):
+    return hashlib.sha256(",".join(str(item.seed) for item in items)
+                          .encode()).hexdigest()
+
+
+def test_corpus_seed_lists_are_pinned(monotone_corpus, oracle_corpus):
+    """The corpora are screened by value iteration's sweep count; these
+    digests of the accepted seeds were taken before solve moved to policy
+    iteration."""
+    assert (monotone_corpus[0].seed, monotone_corpus[-1].seed) == (10_000,
+                                                                   10_224)
+    assert _seed_digest(monotone_corpus) == (
+        "3eebc99f1f27c19d8ebbae13718a8bff07ba73a0a956f4053ed28d80c51a875a")
+    assert (oracle_corpus[0].seed, oracle_corpus[-1].seed) == (20_000, 20_053)
+    assert _seed_digest(oracle_corpus) == (
+        "e03efd4c0edf8dbd918d766178606d198a98709f8339cea5b47773bd34f634a8")
+
+
+@pytest.mark.parametrize("name", ["near_critical", "divergent", "random_adm",
+                                  "infinite"])
+def test_vi_route_reproduces_the_solve_goldens(name):
+    model = validate_model(jsonio.loads(
+        (GOLDEN / f"{name}.model.json").read_text()))
+    report, _ = vi_solve(model)
+    text = jsonio.dumps(report.to_dict(model.states, model.actions))
+    assert text == (GOLDEN / f"{name}.solve.json").read_text(encoding="utf-8")
+
+
+def stationary_oracle(dtmdp):
+    """Pointwise minimum of the exact values of every deterministic
+    stationary policy: the optimal value, infinite states included."""
+    best = np.full(dtmdp.n_states, np.inf)
+    for choice in itertools.product(*dtmdp.admissible):
+        value = evaluate_policy_linear(dtmdp, StationaryPolicy(choice))
+        best = np.minimum(best, value.values)
+    return best
+
+
+def _n_policies(dtmdp):
+    return math.prod(len(acts) for acts in dtmdp.admissible)
+
+
+def assert_matches_oracle(report, dtmdp):
+    want = stationary_oracle(dtmdp)
+    got = report.value.values
+    assert report.converged
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite])
+                  <= ORACLE_RTOL * want[finite])
+    # the reported policy attains the reported value
+    attained = evaluate_policy_linear(dtmdp, report.policy).values
+    assert np.array_equal(np.isinf(attained), np.isinf(want))
+    assert np.all(np.abs(attained[finite] - want[finite])
+                  <= ORACLE_RTOL * want[finite])
+
+
+def test_policy_iteration_matches_the_stationary_oracle_on_the_corpora(
+        monotone_corpus, oracle_corpus):
+    small = [item for item in monotone_corpus
+             if _n_policies(item.dtmdp) <= 300][:25]
+    assert len(small) == 25
+    for item in small + list(oracle_corpus):
+        report, _ = solve_ctmdp(item.model)
+        assert_matches_oracle(report, item.dtmdp)
+
+
+def _chain(levels, cost):
+    """s0 -> s1 -> ... -> s<levels> at rate 1 and the given cost rate; the
+    last state absorbs at zero cost.  V(s0) = (1 / (1 - cost)) ** levels."""
+    states = [f"s{i}" for i in range(levels + 1)]
+    return validate_model({
+        "states": states, "actions": ["a0"],
+        "rates": [{"from": a, "action": "a0", "to": b, "rate": 1.0}
+                  for a, b in zip(states, states[1:])],
+        "costs": [{"state": s, "action": "a0", "rate": cost}
+                  for s in states[:-1]]})
+
+
+def test_values_above_the_cap_are_finite(tmp_path, capsys):
+    """A 16-state chain at cost rate 0.9: V(s0) = 1e15 is above the default
+    cap of 1e12, which value iteration's heuristic takes for divergence."""
+    model = _chain(15, 0.9)
+    report, dtmdp = solve_ctmdp(model)
+    assert report.converged and not report.infinite_states
+    assert report.value[0] == pytest.approx(1e15, rel=1e-12)
+    assert_matches_oracle(report, dtmdp)
+    path = tmp_path / "chain.json"
+    path.write_text(jsonio.dumps(model.to_dict()))
+    assert cli.main(["solve", str(path)]) == 0
+    out = jsonio.loads(capsys.readouterr().out)
+    assert out["infinite_states"] == [] and out["converged"] is True
+
+
+def _cycle(cost):
+    return validate_model({
+        "states": ["p", "q"], "actions": ["u"],
+        "rates": [{"from": "p", "action": "u", "to": "q", "rate": 1.0},
+                  {"from": "q", "action": "u", "to": "p", "rate": 1.0}],
+        "costs": [{"state": s, "action": "u", "rate": cost}
+                  for s in ("p", "q") if cost]})
+
+
+def test_zero_cost_cycle_is_exactly_one():
+    model = _cycle(0.0)
+    report, dtmdp = solve_ctmdp(model)
+    assert report.value.values.tolist() == [1.0, 1.0]
+    assert_matches_oracle(report, dtmdp)
+    value = evaluate_policy_linear(dtmdp, only_policy(model))
+    assert value.values.tolist() == [1.0, 1.0]
+    assert value.diagnostics == {"method": "linear"}
+
+
+def test_costly_cycle_is_infinite():
+    report, dtmdp = solve_ctmdp(_cycle(0.9))
+    assert report.infinite_states == frozenset({0, 1})
+    assert_matches_oracle(report, dtmdp)
+
+
+def test_warm_start_avoids_the_first_action_stall():
+    """random n=64 m=8 seed 2: the first-action policy leaves 61 states
+    infinite.  Improvement from it stops after one switch with the 61
+    still infinite: each of them has infinite successors under every
+    action.  Value iteration finds every value finite."""
+    dtmdp = build_equivalent_dtmdp(gen_example("random", {"n": 64, "m": 8},
+                                               2))
+    first = StationaryPolicy(tuple(int(np.argmax(row))
+                                   for row in dtmdp.admissible_mask))
+    assert (~evaluate_policy_linear(dtmdp, first).finite_mask).sum() == 61
+    report = policy_iterate(dtmdp)
+    vi = value_iterate(dtmdp, tol=1e-13)
+    assert report.converged and not report.infinite_states
+    assert vi.converged and not vi.infinite_states
+    # value iteration rises to the optimal value from below
+    assert np.all(report.value.values >= vi.value.values * (1 - 1e-12))
+    assert np.all(report.value.values <= vi.value.values * (1 + 1e-8))
+
+
+def test_zero_cost_cycle_beyond_the_warm_start():
+    """x and y can cycle at zero cost (value 1) or each take a zero-cost
+    path that meets a cost only after more than WARM_SWEEPS steps, so the
+    warm-start iterate is 1 on every action.  Started on those paths,
+    improvement would stop above 1: the cycle only ties with the value it
+    leads back to."""
+    length = solver.WARM_SWEEPS + 5
+    chains = [[f"{tag}{i}" for i in range(length)] for tag in ("v", "w")]
+    states = ["end", "x", "y", *chains[0], *chains[1]]
+    rates = []
+    for chain in chains:
+        rates += [{"from": a, "action": "a0", "to": b, "rate": 1.0}
+                  for a, b in zip(chain, chain[1:])]
+        rates.append({"from": chain[-1], "action": "a0", "to": "end",
+                      "rate": 1.0})
+    rates += [{"from": "x", "action": "a0", "to": "v0", "rate": 1.0},
+              {"from": "x", "action": "a1", "to": "y", "rate": 1.0},
+              {"from": "y", "action": "a0", "to": "w0", "rate": 1.0},
+              {"from": "y", "action": "a1", "to": "x", "rate": 1.0}]
+    costs = [{"state": "v" + str(length - 1), "action": "a0", "rate": 0.5},
+             {"state": "w" + str(length - 1), "action": "a0", "rate": 0.75}]
+    admissible = {s: ["a0"] for s in states}
+    admissible.update(x=["a0", "a1"], y=["a0", "a1"])
+    model = validate_model({"states": states, "actions": ["a0", "a1"],
+                            "admissible": admissible, "rates": rates,
+                            "costs": costs})
+    report, dtmdp = solve_ctmdp(model)
+    assert report.value[1] == report.value[2] == 1.0
+    assert report.policy.choice[1:3] == (1, 1)
+    assert_matches_oracle(report, dtmdp)
+
+
+def test_classes_are_certified_sinks_first():
+    """The global certificate fails on a costly cycle c <-> d; the
+    classes around it are valued one at a time: f feeds only finite
+    states, e also feeds the cycle."""
+    kernel = np.zeros((6, 1, 6))
+    log_cost = np.full((6, 1), math.log(1.5))
+    log_cost[0] = 0.0
+    kernel[0, 0, 0] = 1.0                       # a: absorbing, value 1
+    kernel[1, 0, [0, 1]] = [0.5, 0.5]           # b -> a: value 3
+    kernel[2, 0, [2, 3]] = [0.5, 0.5]           # c <-> d: radius 1.5
+    kernel[3, 0, [2, 3]] = [0.5, 0.5]
+    kernel[4, 0, [1, 2]] = [0.5, 0.5]           # e -> b and c
+    kernel[5, 0, [1, 5]] = [0.5, 0.5]           # f -> b
+    dtmdp = make_dtmdp(list("abcdef"), ["u"], kernel, log_cost)
+    policy = only_policy(dtmdp)
+    linear = evaluate_policy_linear(dtmdp, policy)
+    iterative = evaluate_policy_iterative(dtmdp, policy, tol=1e-13)
+    assert np.isinf(linear.values).tolist() == [False, False, True, True,
+                                                True, False]
+    assert linear.values[1] == pytest.approx(3.0, rel=1e-15)
+    assert linear.values[5] == pytest.approx(9.0, rel=1e-15)
+    assert np.array_equal(linear.finite_mask, iterative.finite_mask)
+
+
+def test_uncertifiable_finite_class_is_reported_infinite():
+    """x <-> y at rate 1, leaving to `end` at rate 1e-16, cost rate 1e-19
+    at x: the value is about 1.001, but the class takes about 1e16 steps
+    to leave, so its certificate fails and the evaluator reports it
+    infinite, as documented.  Value iteration finds it finite, so solve
+    says it has not converged."""
+    leak = 1e-16
+    model = validate_model({
+        "states": ["x", "y", "end"], "actions": ["a"],
+        "rates": [{"from": "x", "action": "a", "to": "y", "rate": 1.0},
+                  {"from": "y", "action": "a", "to": "x", "rate": 1.0},
+                  {"from": "y", "action": "a", "to": "end", "rate": leak}],
+        "costs": [{"state": "x", "action": "a", "rate": leak * 1e-3}]})
+    value = evaluate_policy_linear(model, only_policy(model))
+    assert value.values.tolist() == [math.inf, math.inf, 1.0]
+    report, _ = solve_ctmdp(model)
+    assert not report.converged
+    assert not report.infinite_states
+
+
+def test_linear_evaluation_never_iterates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate_policy_iterative was called")
+    monkeypatch.setattr(solver, "evaluate_policy_iterative", refuse)
+    infinite = validate_model(jsonio.loads(
+        (GOLDEN / "infinite.model.json").read_text()))
+    for model in (infinite, _cycle(0.0), _cycle(0.9), _chain(15, 0.9)):
+        dtmdp = build_equivalent_dtmdp(model)
+        policy = solve_ctmdp(model)[0].policy
+        for form in (dtmdp, model):
+            assert evaluate_policy_linear(form, policy).diagnostics == {
+                "method": "linear"}
+
+
+@pytest.mark.parametrize("max_iters, converged", [
+    (2, False), (solver.WARM_SWEEPS, False), (solver.WARM_SWEEPS + 1, True)])
+def test_max_iters_bounds_sweeps_and_steps(max_iters, converged):
+    """two_state q=1 c=0.999 needs the warm-start sweeps and one step."""
+    model = gen_example("two_state", {"q": 1, "c": 0.999}, 0)
+    report, dtmdp = solve_ctmdp(model, max_iters=max_iters)
+    assert report.converged is converged
+    assert report.iterations == min(max_iters, solver.WARM_SWEEPS)
+    if not converged:
+        vi = value_iterate(dtmdp, max_iters=max_iters)
+        assert report.value.values.tobytes() == vi.value.values.tobytes()
