@@ -12,6 +12,7 @@ converge, 3 oracle mismatch beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass, field
 
@@ -96,9 +97,9 @@ def _cmd_solve(config: RunConfig):
 def _cmd_evaluate(config: RunConfig):
     model = _load_model(config)
     policy = _load_policy(config, model)
-    dtmdp = build_equivalent_dtmdp(model)
-    linear = evaluate_policy_linear(dtmdp, policy)
-    iterative = evaluate_policy_iterative(dtmdp, policy, tol=config.tol,
+    linear = evaluate_policy_linear(model, policy)
+    iterative = evaluate_policy_iterative(build_equivalent_dtmdp(model),
+                                          policy, tol=config.tol,
                                           cap=config.cap,
                                           max_iters=config.max_iters)
     both_finite = linear.finite_mask & iterative.finite_mask
@@ -122,8 +123,7 @@ def _cmd_evaluate(config: RunConfig):
 def _cmd_simulate(config: RunConfig):
     model = _load_model(config)
     policy = _load_policy(config, model)
-    dtmdp = build_equivalent_dtmdp(model)
-    evaluated = evaluate_policy_linear(dtmdp, policy)
+    evaluated = evaluate_policy_linear(model, policy)
     estimates = {}
     deviations = {}
     for x, name in enumerate(model.states):
@@ -264,6 +264,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; the cyclic garbage collector is paused while it
+    runs.  A model file parses into tens of thousands of dicts, and a
+    report is built from as many; none of them is part of a reference
+    cycle, so the collector would only walk them again and again.  The
+    caller's collector state is restored on return."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help

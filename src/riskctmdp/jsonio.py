@@ -8,20 +8,26 @@ The bytes are those of the recursion `_emit`: two-space indent, one item
 per line, `json.dumps` for strings and keys, `format_float` for floats; a
 NaN raises ValueError and a non-string key TypeError.  Model files and
 reports hold large entry tables (one row per nonzero rate, cost, kernel or
-log-cost entry), so `dumps` writes those column by column in time linear
-in the entry count.  An entry table is a list of at least two dicts with
-the same non-empty keys in the same order whose values are all exact
-`str` or exact `float`, each column of one kind.  Every other list (mixed
-key sets, ints, bools, None, nested values, numpy scalars) goes through
-`_emit` item by item; the bytes are the same either way.
+log-cost entry), so `dumps` writes those in whole-column passes: one set
+of the row types and one of the rows' key tuples decide the shape, each
+distinct name is encoded once, and the floats of a column are formatted
+in one map, numpy picking out the few texts that need ".0" or quotes.  An
+entry table is a list of at least two dicts with the same non-empty keys
+in the same order whose values are all exact `str` or exact `float`, each
+column of one kind.  Every other list (mixed key sets, ints, bools, None,
+nested values, numpy scalars) goes through `_emit` item by item; the
+bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from json.encoder import encode_basestring_ascii  # json.dumps's str bytes
 from operator import itemgetter
+
+import numpy as np
 
 _NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"'}
 
@@ -40,54 +46,59 @@ def format_float(x: float) -> str:
 
 def _float_column(col: list) -> list:
     """format_float of every value of a column of exact floats."""
-    texts = list(map("%.17g".__mod__, col))  # the bytes of format(x, ".17g")
-    # integral values, infinities and NaN are the texts with no "." or "e"
-    for i, text in enumerate(texts):
-        if "." not in text and "e" not in text:
-            if text == "nan":
-                raise ValueError("NaN cannot be serialized")
-            texts[i] = _NON_FINITE.get(text) or text + ".0"
+    texts = list(map(float.__format__, col, repeat(".17g")))
+    # the texts with no "." or "e": integral values below 1e17 (".17g"
+    # writes 1e17 and above with an exponent), infinities and NaN
+    x = np.fromiter(col, float, len(col))
+    fix = ((x == np.trunc(x)) & (np.abs(x) < 1e17)) | ~np.isfinite(x)
+    for i in np.flatnonzero(fix).tolist():
+        text = texts[i]
+        if text == "nan":
+            raise ValueError("NaN cannot be serialized")
+        texts[i] = _NON_FINITE.get(text) or text + ".0"
     return texts
 
 
-def _str_column(col: list) -> list:
-    """json.dumps of every value of a column of exact strs."""
-    encoded = {s: encode_basestring_ascii(s) for s in set(col)}
+def _str_column(col: list, prefix: str) -> list:
+    """prefix plus json.dumps of every value of a column of exact strs."""
+    encoded = {s: prefix + encode_basestring_ascii(s) for s in set(col)}
     return list(map(encoded.__getitem__, col))
-
-
-_COLUMN = {str: _str_column, float: _float_column}
 
 
 def _emit_table(rows, indent: int, pieces: list) -> bool:
     """Emit rows as an entry table, in the bytes of _emit; returns False,
     having emitted nothing, when rows is not an entry table."""
-    keys = tuple(rows[0]) if type(rows[0]) is dict else ()
-    if (len(rows) < 2 or not keys
-            or any(type(k) is not str for k in keys)
-            or not all(type(row) is dict and tuple(row) == keys
-                       for row in rows)):
+    if len(rows) < 2 or set(map(type, rows)) != {dict}:
         return False
-    columns = []
-    for key in keys:
-        col = list(map(itemgetter(key), rows))
-        kinds = set(map(type, col))
-        if len(kinds) != 1 or kinds.isdisjoint(_COLUMN):
-            return False
-        columns.append(_COLUMN[kinds.pop()](col))
-    # each row is lits[0] col[0] lits[1] ... col[-1] lits[-1], rows joined
-    # by ",\n"; the rows are interleaved into one flat list of pieces
+    shapes = set(map(tuple, rows))  # the keys of each row, in order
+    keys = shapes.pop()
+    if shapes or not keys or any(type(k) is not str for k in keys):
+        return False
+    # each row is, per column, the literal that leads to the value and the
+    # value's text, then `end`; a str column carries its literal in each
+    # text, made once per distinct value, a float column has its own slot
     pad = "  " * (indent + 1)
     names = [encode_basestring_ascii(k) + ": " for k in keys]
     lits = ([f"{pad}{{\n{pad}  {names[0]}"]
-            + [f",\n{pad}  {name}" for name in names[1:]]
-            + [f"\n{pad}}}"])
-    n, width = len(rows), 2 * len(keys) + 1
-    flat = [lits[-1] + ",\n"] * (n * width)
-    for j, col in enumerate(columns):
-        flat[2 * j::width] = [lits[j]] * n
-        flat[2 * j + 1::width] = col
-    flat[-1] = lits[-1]
+            + [f",\n{pad}  {name}" for name in names[1:]])
+    end = f"\n{pad}}}"
+    n = len(rows)
+    slots = []
+    for lit, key in zip(lits, keys):
+        col = list(map(itemgetter(key), rows))
+        kinds = set(map(type, col))
+        if kinds == {str}:
+            slots.append(_str_column(col, lit))
+        elif kinds == {float}:
+            slots += [[lit] * n, _float_column(col)]
+        else:
+            return False
+    # the rows, joined by ",\n", interleaved into one flat list of pieces
+    width = len(slots) + 1
+    flat = [end + ",\n"] * (n * width)
+    for j, slot in enumerate(slots):
+        flat[j::width] = slot
+    flat[-1] = end
     pieces.append("[\n")
     pieces += flat
     pieces.append("\n" + "  " * indent + "]")
@@ -104,7 +115,7 @@ def _emit(obj, indent: int, pieces: list) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            pieces.append(f"{pad}  {json.dumps(k)}: ")
+            pieces.append(f"{pad}  {encode_basestring_ascii(k)}: ")
             _emit(v, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
@@ -127,7 +138,7 @@ def _emit(obj, indent: int, pieces: list) -> None:
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        pieces.append(encode_basestring_ascii(obj))
     elif obj is None:
         pieces.append("null")
     else:

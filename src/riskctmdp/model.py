@@ -14,6 +14,7 @@ only turns the entries of a model file into arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -130,12 +131,13 @@ class IndexedModel:
         or (n_states, n_actions, n_states) mask, in C order (state, action,
         successor), which is the entry order of the file formats.
 
-        Returns (index arrays, one list of names per axis).
+        Returns (index arrays, one list of names per axis), the names
+        gathered by numpy from an object array of each axis.
         """
         idx = np.nonzero(where)
         axes = (self.states, self.actions, self.states)
-        return idx, [[axes[k][i] for i in ix.tolist()]
-                     for k, ix in enumerate(idx)]
+        return idx, [np.array(axis, dtype=object)[ix].tolist()
+                     for axis, ix in zip(axes, idx)]
 
     def _at(self, *index) -> str:
         """Names of a (state, action) or (state, action, successor)
@@ -293,39 +295,61 @@ def _entries(raw_model: dict, lookups: tuple, key: str, fields: tuple,
     array; returns the index arrays and the array.  lookups map the names of
     the coordinates `fields` to indices, in (state, action, successor)
     order.  Unknown names, non-numeric values and repeated coordinates are
-    reported with their entry."""
+    reported with their entry.
+
+    The checks run on whole columns: one set of the types present shows
+    that every entry is a dict and every value a number, names go straight
+    from the entries through the lookups into index arrays, and only a
+    failed check scans the entries one by one for the first offender.  An
+    entry's coordinate is built only for its error message.
+    """
     entries = raw_model.get(key, [])
     if not isinstance(entries, list):
         raise ModelError(f'"{key}" must be a list of entries')
-    bad = [e for e in entries if not isinstance(e, dict)]
-    if bad:
-        raise ModelError(f"{key} entry {bad[0]!r} is not a mapping")
-    names = [[e.get(f) for e in entries] for f in fields]
-    coords = list(zip(*names))
-    ids = [_resolve(lookup, col) for lookup, col in zip(lookups, names)]
-    missing = [(col.index(None), k) for k, col in enumerate(ids) if None in col]
-    if missing:
-        i, k = min(missing)
+    exact = set(map(type, entries)) <= {dict}
+    if not exact:  # a dict subclass or a non-mapping
+        bad = [e for e in entries if not isinstance(e, dict)]
+        if bad:
+            raise ModelError(f"{key} entry {bad[0]!r} is not a mapping")
+
+    def column(f: str):
+        """e.get(f) of every entry e, by dict.get where all are dicts."""
+        if exact:
+            return map(dict.get, entries, repeat(f))
+        return (e.get(f) for e in entries)
+
+    def coord(i: int) -> tuple:
+        return tuple(entries[i].get(f) for f in fields)
+
+    n = len(entries)
+    try:
+        ids = tuple(np.fromiter(map(lookup.get, column(f)), np.intp, n)
+                    for lookup, f in zip(lookups, fields))
+    except TypeError:  # None for an unknown name, or an unhashable name
+        names = [list(column(f)) for f in fields]
+        ids = [_resolve(lookup, col) for lookup, col in zip(lookups, names)]
+        i, k = min((col.index(None), k) for k, col in enumerate(ids)
+                   if None in col)
         raise ModelError(f"unknown {'action' if k == 1 else 'state'} "
-                         f"'{names[k][i]}' in {key} entry {coords[i]}")
-    values = [e.get("rate") for e in entries]
-    bad = [i for i, v in enumerate(values)  # type() first: fast for floats
-           if type(v) not in (float, int) and not _number(v)]
-    if bad:
-        raise ModelError(
-            f"non-numeric {what} at {coords[bad[0]]}: {values[bad[0]]!r}")
-    ids = tuple(np.array(col, dtype=np.intp) for col in ids)
+                         f"'{names[k][i]}' in {key} entry {coord(i)}") \
+            from None
+    values = list(column("rate"))
+    if not set(map(type, values)) <= {float, int}:  # e.g. bool, None, str
+        bad = [i for i, v in enumerate(values) if not _number(v)]
+        if bad:
+            raise ModelError(
+                f"non-numeric {what} at {coord(bad[0])}: {values[bad[0]]!r}")
     dense = np.zeros(tuple(map(len, lookups)))
     _, first = np.unique(np.ravel_multi_index(ids, dense.shape),
                          return_index=True)
-    if len(first) < len(entries):
-        i = np.setdiff1d(np.arange(len(entries)), first)[0]
-        raise ModelError(f"duplicate {what} entry at {coords[i]}")
+    if len(first) < n:
+        i = np.setdiff1d(np.arange(n), first)[0]
+        raise ModelError(f"duplicate {what} entry at {coord(i)}")
     try:
-        dense[ids] = values
+        dense[ids] = np.fromiter(values, float, n)
     except OverflowError:  # an int literal beyond the float range
         i = next(i for i, v in enumerate(values) if not _fits_float(v))
-        raise ModelError(f"{what} at {coords[i]} is beyond the float range") \
+        raise ModelError(f"{what} at {coord(i)} is beyond the float range") \
             from None
     return ids, dense
 

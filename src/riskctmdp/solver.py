@@ -186,9 +186,9 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
     above the cap (or infinite, or not a number) and runs on every sweep
     after it.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
-    if cap <= 1.0:
+    if not cap > 1.0:
         raise ValueError(f"cap must exceed 1, got {cap}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")

@@ -1,3 +1,4 @@
+import gc
 import math
 from pathlib import Path
 
@@ -151,6 +152,45 @@ def test_evaluate_accepts_solve_report_as_policy(tmp_path, capsys):
             assert abs(value - solved[state]) <= 10 * 1e-10 * solved[state]
 
 
+@pytest.mark.parametrize("c", [1.0 - 1e-12, 1.0 - 1e-15])
+def test_evaluate_near_critical_is_exact(tmp_path, capsys, c):
+    """two_state q=1: the linear evaluator works on the generator form,
+    which gives q/(q-c) where the reduced form was 3e-4 off at 1-1e-12 and
+    read inf at 1-1e-15."""
+    path = tmp_path / "model.json"
+    assert cli.main(["gen", "--kind", "two_state", "--params",
+                     jsonio.dumps({"q": 1.0, "c": c}), "--out",
+                     str(path)]) == 0
+    policy = tmp_path / "policy.json"
+    policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
+                                               "work": "a0"}}))
+    status, out, _ = _run(capsys, "evaluate", str(path), "--policy",
+                          str(policy), "--max-iters", "100")
+    assert status == 0
+    want = 1.0 / (1.0 - c)
+    got = jsonio.loads(out)["linear"]["values"]["work"]
+    assert abs(got - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve", "{model}", "--cap", "nan"], "cap must exceed 1, got nan"),
+    (["solve", "{model}", "--tol", "nan"], "tol must be positive, got nan"),
+    (["evaluate", "{model}", "--policy", "{policy}", "--tol", "nan"],
+     "tol must be positive, got nan"),
+    (["evaluate", "{model}", "--policy", "{policy}", "--cap", "nan"],
+     "cap must exceed 1, got nan"),
+], ids=["solve-cap", "solve-tol", "evaluate-tol", "evaluate-cap"])
+def test_nan_tol_and_cap_exit_1(tmp_path, capsys, argv, fragment):
+    model_path = _gen_two_state(tmp_path)
+    policy = tmp_path / "policy.json"
+    policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
+                                               "work": "a0"}}))
+    argv = [a.format(model=model_path, policy=policy) for a in argv]
+    status, out, err = _run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err == f"error: {fragment}\n"
+
+
 def test_evaluate_requires_policy(tmp_path, capsys):
     model_path = _gen_two_state(tmp_path)
     status, _, err = _run(capsys, "evaluate", str(model_path))
@@ -227,8 +267,10 @@ def test_report_bytes_unchanged(capsys, args, report):
     near_critical is two_state q=1 c=0.999 and divergent is birth_death
     levels=63 birth=3 death=1 cost=1, with 63 states infinite.  The solve
     reports (*.solve-pi.json) were written when solve moved to policy
-    iteration, and infinite.evaluate.json when the evaluator lost its
-    iterative fallback; the others are older than those changes.
+    iteration.  infinite.evaluate.json, random_adm.evaluate.json and
+    birth_death.simulate.json were written when evaluate and simulate
+    moved to the continuous-time (generator) form of the linear
+    evaluator; the others are older than those changes.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0
@@ -309,3 +351,23 @@ def test_int_beyond_the_float_range_exit_1(tmp_path, capsys):
     assert out == ""
     assert err == ("error: rate at ('a', 'u', 'b') is beyond the float "
                    "range\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, want", [
+    (["gen", "--kind", "two_state", "--params", '{"q": 4, "c": 1}'], 0),
+    (["validate", "/nonexistent/model.json"], 1),
+    (["solve", "--bogus"], 1),
+    (["solve", "--help"], 0),
+], ids=["success", "error", "usage", "help"])
+def test_main_restores_the_collector_state(capsys, enabled, argv, want):
+    """main pauses the cyclic collector while a command runs and leaves it
+    as the caller had it, whichever way the command ends."""
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli.main(argv) == want
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import riskctmdp.solver
-from riskctmdp import gen_example, solve_ctmdp
+from riskctmdp import cli, gen_example, jsonio, solve_ctmdp
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -56,3 +56,26 @@ def test_counted_sweeps_equal_iterations(monkeypatch, kind, params):
     monkeypatch.setattr(riskctmdp.solver, "_iterate", counted)
     report, _ = solve_ctmdp(gen_example(kind, params, 0))
     assert calls == report.iterations > 1
+
+
+@pytest.mark.parametrize("command, to_dict", [
+    ("validate", "model.to_dict"),
+    ("reduce", "reduction.to_dict"),
+], ids=["validate", "reduce"])
+def test_tracer_sees_each_io_layer(tmp_path, capsys, command, to_dict):
+    """The traced run's per-layer figures for parse, validate, to_dict and
+    emit come from these spans; each command must make exactly one."""
+    path = tmp_path / "model.json"
+    path.write_text(jsonio.dumps(gen_example(
+        "random", {"n": 8, "m": 2}, 3).to_dict()), encoding="utf-8")
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main([command, str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span.name for span in tracer.spans]
+    for name in ("jsonio.loads", "model.validate_model", to_dict,
+                 "jsonio.dumps"):
+        assert names.count(name) == 1, (name, names)

@@ -140,6 +140,24 @@ class TestValueIterate:
         with pytest.raises(ValueError):
             value_iterate(two_state_dtmdp, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": math.nan}, "tol must be positive, got nan"),
+        ({"cap": math.nan}, "cap must exceed 1, got nan")])
+    def test_nan_parameters_are_rejected(self, kwargs, message):
+        """NaN fails every comparison, so `tol <= 0` and `cap <= 1` let it
+        through: a NaN cap classified nothing and a NaN tol never
+        stopped."""
+        model = gen_example("birth_death", {"levels": 5, "birth": 3,
+                                            "death": 1, "cost": 1}, 0)
+        dtmdp = build_equivalent_dtmdp(model)
+        policy = StationaryPolicy((0,) * model.n_states)
+        for call in (lambda: value_iterate(dtmdp, **kwargs),
+                     lambda: solve_ctmdp(model, **kwargs),
+                     lambda: evaluate_policy_iterative(dtmdp, policy,
+                                                       **kwargs)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_monotone_sweeps_explicit(self, monotone_corpus):
         for item in monotone_corpus[:20]:
             v = ValueFunction.constant(item.model.n_states)
