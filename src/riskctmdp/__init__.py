@@ -8,37 +8,49 @@ iteration on the reduced model then yields values and an optimal
 stationary policy, cross-checkable by exact policy evaluation, a
 brute-force finite-horizon oracle, and Monte Carlo simulation of the jump
 process itself.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562) and then kept here, so
+a caller pays only for the modules it uses.
 """
 
-from .extreal import (INFINITY, ExtReal, ExtRealDomainError, ext_div,
-                      ext_exp, ext_mul, ext_sub_clamped)
-from .model import (CtmdpModel, ModelError, StationaryPolicy, gen_example,
-                    parse_policy, validate_model, validate_policy)
-from .reduction import (DtmdpModel, build_equivalent_dtmdp, make_dtmdp,
-                        uniformization_weight)
-from .simulate import (McEstimate, Trajectory, estimate_dtmdp_value_mc,
-                       estimate_value_mc, sample_trajectory,
-                       trajectory_stream)
-from .solver import (OracleGuardError, SolveReport, SolverError,
-                     ValueFunction, bellman_apply, check_supersolution,
-                     evaluate_policy_iterative, evaluate_policy_linear,
-                     extract_policy, finite_horizon_oracle,
-                     optimality_residual, policy_iterate, solve_ctmdp,
-                     value_iterate)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CtmdpModel", "DtmdpModel", "ExtReal", "ExtRealDomainError", "INFINITY",
-    "McEstimate", "ModelError", "OracleGuardError", "SolveReport",
-    "SolverError", "StationaryPolicy", "Trajectory", "ValueFunction",
-    "bellman_apply", "build_equivalent_dtmdp", "check_supersolution",
-    "estimate_dtmdp_value_mc", "estimate_value_mc",
-    "evaluate_policy_iterative", "evaluate_policy_linear", "ext_div",
-    "ext_exp", "ext_mul", "ext_sub_clamped", "extract_policy",
-    "finite_horizon_oracle", "gen_example", "make_dtmdp",
-    "optimality_residual", "parse_policy", "policy_iterate",
-    "sample_trajectory", "solve_ctmdp",
-    "trajectory_stream", "uniformization_weight", "validate_model",
-    "validate_policy", "value_iterate",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "CtmdpModel": "model", "DtmdpModel": "reduction", "ExtReal": "extreal",
+    "ExtRealDomainError": "extreal", "INFINITY": "extreal",
+    "McEstimate": "simulate", "ModelError": "model",
+    "OracleGuardError": "solver", "SolveReport": "solver",
+    "SolverError": "solver", "StationaryPolicy": "model",
+    "Trajectory": "simulate", "ValueFunction": "solver",
+    "bellman_apply": "solver", "build_equivalent_dtmdp": "reduction",
+    "check_supersolution": "solver", "estimate_dtmdp_value_mc": "simulate",
+    "estimate_value_mc": "simulate", "evaluate_policy_iterative": "solver",
+    "evaluate_policy_linear": "solver", "ext_div": "extreal",
+    "ext_exp": "extreal", "ext_mul": "extreal", "ext_sub_clamped": "extreal",
+    "extract_policy": "solver", "finite_horizon_oracle": "solver",
+    "gen_example": "model", "make_dtmdp": "reduction",
+    "optimality_residual": "solver", "parse_policy": "model",
+    "policy_iterate": "solver", "sample_trajectory": "simulate",
+    "solve_ctmdp": "solver", "trajectory_stream": "simulate",
+    "uniformization_weight": "reduction", "validate_model": "model",
+    "validate_policy": "model", "value_iterate": "solver",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:  # also how `from riskctmdp import jsonio` finds a module
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

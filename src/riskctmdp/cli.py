@@ -7,6 +7,10 @@ rerunning a command reproduces the output byte for byte.
 
 Exit status: 0 success, 1 validation or usage error, 2 solve did not
 converge, 3 oracle mismatch beyond tolerance.
+
+Each command imports the modules it runs when it runs, so `gen` and
+`validate` load only this module, `jsonio` and `model`, and a process
+compiles no more of the package than its command needs.
 """
 
 from __future__ import annotations
@@ -20,13 +24,6 @@ import numpy as np
 
 from . import jsonio
 from .model import ModelError, gen_example, parse_policy, validate_model
-from .reduction import build_equivalent_dtmdp
-from .simulate import estimate_value_mc
-from .solver import (DEFAULT_CAP, DEFAULT_MAX_ITERS, DEFAULT_TOL,
-                     ORACLE_MAX_HORIZON, OracleGuardError, ValueFunction,
-                     bellman_apply, evaluate_policy_iterative,
-                     evaluate_policy_linear, finite_horizon_oracle,
-                     solve_ctmdp)
 
 ORACLE_MATCH_TOL = 1e-8
 
@@ -38,14 +35,16 @@ EXIT_ORACLE_MISMATCH = 3
 
 @dataclass
 class RunConfig:
-    """One subcommand's inputs; the class defaults are also the CLI's."""
+    """One subcommand's inputs; the class defaults are also the CLI's.
+    `tol`, `max_iters` and `cap` are the solver's defaults when None; the
+    commands that read them get those from `config_from_args`."""
 
     command: str
     model_path: str = None
     policy_path: str = None
-    tol: float = DEFAULT_TOL
-    max_iters: int = DEFAULT_MAX_ITERS
-    cap: float = DEFAULT_CAP
+    tol: float = None
+    max_iters: int = None
+    cap: float = None
     n_trajectories: int = 100_000
     seed: int = 0
     horizon: int = None
@@ -71,7 +70,7 @@ def _load_policy(config: RunConfig, model):
     return parse_policy(model, _load_json(config.policy_path))
 
 
-def _values_by_state(model, value: ValueFunction) -> dict:
+def _values_by_state(model, value) -> dict:
     vals = value.to_json_values()
     return {model.states[x]: vals[x] for x in range(model.n_states)}
 
@@ -82,26 +81,28 @@ def _cmd_validate(config: RunConfig):
 
 
 def _cmd_reduce(config: RunConfig):
+    from . import reduction
     model = _load_model(config)
-    return EXIT_OK, build_equivalent_dtmdp(model).to_dict()
+    return EXIT_OK, reduction.build_equivalent_dtmdp(model).to_dict()
 
 
 def _cmd_solve(config: RunConfig):
+    from . import solver
     model = _load_model(config)
-    report, _ = solve_ctmdp(model, tol=config.tol, max_iters=config.max_iters,
-                            cap=config.cap)
+    report, _ = solver.solve_ctmdp(model, tol=config.tol,
+                                   max_iters=config.max_iters, cap=config.cap)
     status = EXIT_OK if report.converged else EXIT_NOT_CONVERGED
     return status, report.to_dict(model.states, model.actions)
 
 
 def _cmd_evaluate(config: RunConfig):
+    from . import reduction, solver
     model = _load_model(config)
     policy = _load_policy(config, model)
-    linear = evaluate_policy_linear(model, policy)
-    iterative = evaluate_policy_iterative(build_equivalent_dtmdp(model),
-                                          policy, tol=config.tol,
-                                          cap=config.cap,
-                                          max_iters=config.max_iters)
+    linear = solver.evaluate_policy_linear(model, policy)
+    iterative = solver.evaluate_policy_iterative(
+        reduction.build_equivalent_dtmdp(model), policy, tol=config.tol,
+        cap=config.cap, max_iters=config.max_iters)
     both_finite = linear.finite_mask & iterative.finite_mask
     diff = float(np.max(np.abs(linear.values[both_finite]
                                - iterative.values[both_finite]))) \
@@ -121,14 +122,16 @@ def _cmd_evaluate(config: RunConfig):
 
 
 def _cmd_simulate(config: RunConfig):
+    from . import simulate, solver
     model = _load_model(config)
     policy = _load_policy(config, model)
-    evaluated = evaluate_policy_linear(model, policy)
+    evaluated = solver.evaluate_policy_linear(model, policy)
     estimates = {}
     deviations = {}
     for x, name in enumerate(model.states):
-        est = estimate_value_mc(model, policy, x, config.n_trajectories,
-                                (config.seed + x) & ((1 << 64) - 1))
+        est = simulate.estimate_value_mc(model, policy, x,
+                                         config.n_trajectories,
+                                         (config.seed + x) & ((1 << 64) - 1))
         estimates[name] = est.to_dict()
         mean = est.mean.value
         value = evaluated.values[x]
@@ -148,19 +151,21 @@ def _cmd_simulate(config: RunConfig):
 
 
 def _cmd_oracle(config: RunConfig):
+    from . import reduction, solver
     if config.horizon is None:
         raise ModelError("the oracle command requires --horizon")
-    if not 1 <= config.horizon <= ORACLE_MAX_HORIZON:
-        raise ModelError(f"oracle horizon must be in 1..{ORACLE_MAX_HORIZON}, "
+    if not 1 <= config.horizon <= solver.ORACLE_MAX_HORIZON:
+        raise ModelError("oracle horizon must be in "
+                         f"1..{solver.ORACLE_MAX_HORIZON}, "
                          f"got {config.horizon}")
     model = _load_model(config)
-    dtmdp = build_equivalent_dtmdp(model)
+    dtmdp = reduction.build_equivalent_dtmdp(model)
     per_horizon = {}
     worst = 0.0
-    sweep = ValueFunction.constant(dtmdp.n_states)
+    sweep = solver.ValueFunction.constant(dtmdp.n_states)
     for h in range(1, config.horizon + 1):
-        sweep = bellman_apply(dtmdp, sweep)[0]
-        exact = finite_horizon_oracle(dtmdp, h)
+        sweep = solver.bellman_apply(dtmdp, sweep)[0]
+        exact = solver.finite_horizon_oracle(dtmdp, h)
         gap = float(np.max(np.abs(sweep.values - exact.values)))
         per_horizon[str(h)] = gap
         worst = max(worst, gap)
@@ -213,10 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("model", help="model JSON file")
         if solver:
-            p.add_argument("--tol", type=float, default=RunConfig.tol)
-            p.add_argument("--max-iters", type=int,
-                           default=RunConfig.max_iters)
-            p.add_argument("--cap", type=float, default=RunConfig.cap)
+            p.add_argument("--tol", type=float)
+            p.add_argument("--max-iters", type=int)
+            p.add_argument("--cap", type=float)
         if policy:
             p.add_argument("--policy", help="policy JSON file")
         if mc:
@@ -253,6 +257,14 @@ _FIELD_OF_ARG = {"model": "model_path", "policy": "policy_path",
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     values = {_FIELD_OF_ARG.get(k, k): v for k, v in vars(args).items()}
+    if "tol" in values:  # a command with solver flags loads the solver anyway
+        from . import solver
+        defaults = {"tol": solver.DEFAULT_TOL,
+                    "max_iters": solver.DEFAULT_MAX_ITERS,
+                    "cap": solver.DEFAULT_CAP}
+        for key, default in defaults.items():
+            if values[key] is None:
+                values[key] = default
     if "params" in values:
         try:
             values["params"] = jsonio.loads(values["params"])
@@ -286,7 +298,7 @@ def _main(argv) -> int:
     try:
         config = config_from_args(args)
         status, report = run(config)
-    except (ModelError, OracleGuardError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ModelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if report is not None:

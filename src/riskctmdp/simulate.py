@@ -342,6 +342,9 @@ def _lockstep(tables, starts, keys, n: int, n_steps: int,
     return costs.reshape(-1, n), finals.reshape(-1, n)
 
 
+# e^cost of a long path, and a mean or spread of such samples, may
+# overflow to inf, which is then the estimate
+@np.errstate(over="ignore")
 def _summarize(costs, infinite, truncated, master_seed: int) -> McEstimate:
     n = len(costs)
     lb_samples = np.exp(costs)

@@ -175,6 +175,9 @@ def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
                        f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
+# an iterate that overflows to inf is the divergence that the cap and
+# streak bookkeeping classify, so numpy need not warn about it
+@np.errstate(over="ignore")
 def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
     """Shared fixed-point loop: monotone sweeps, cap classification, stopping.
 

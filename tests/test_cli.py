@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -371,3 +374,26 @@ def test_main_restores_the_collector_state(capsys, enabled, argv, want):
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
+
+
+def test_divergent_model_writes_no_warnings(tmp_path):
+    """Values that overflow to inf are results, not faults: a divergent
+    model's solve, evaluate and simulate write nothing to stderr."""
+    model = tmp_path / "model.json"
+    solved = tmp_path / "solve.json"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (
+            ["gen", "--kind", "birth_death", "--params",
+             '{"levels": 63, "birth": 3, "death": 1, "cost": 1}',
+             "--out", str(model)],
+            ["solve", str(model), "--cap", "inf", "--out", str(solved)],
+            ["evaluate", str(model), "--policy", str(solved), "--cap", "inf",
+             "--out", str(tmp_path / "evaluate.json")],
+            ["simulate", str(model), "--policy", str(solved), "--n", "100",
+             "--out", str(tmp_path / "simulate.json")]):
+        result = subprocess.run(
+            [sys.executable, "-m", "riskctmdp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+    assert jsonio.loads(solved.read_text())["infinite_states"]

@@ -14,6 +14,7 @@ import riskctmdp.solver
 from riskctmdp import cli, gen_example, jsonio, solve_ctmdp
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _load_spans():
@@ -79,3 +80,54 @@ def test_tracer_sees_each_io_layer(tmp_path, capsys, command, to_dict):
     for name in ("jsonio.loads", "model.validate_model", to_dict,
                  "jsonio.dumps"):
         assert names.count(name) == 1, (name, names)
+
+
+def _traced_main(argv):
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        status = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    return status, tracer
+
+
+def test_tracer_sees_each_solver_and_simulate_layer(tmp_path, capsys):
+    """The commands import the solver and the simulator when they run, and
+    must still call them through the names the tracer wraps: the traced run
+    reads these spans, the counted sweeps and the recorded Monte Carlo
+    calls."""
+    model = str(GOLDEN / "two_state.model.json")
+    policy = str(GOLDEN / "two_state.policy.json")
+    out = tmp_path / "report.json"
+
+    def names(tracer):
+        return [span.name for span in tracer.spans]
+
+    status, tracer = _traced_main(["solve", model, "--out", str(out)])
+    assert status == 0
+    assert names(tracer).count("solver.solve_ctmdp") == 1
+    sweeps = sum(span.counts.get("sweeps", 0) for span in tracer.spans
+                 if span.name == "solver.value_iterate")
+    assert sweeps == jsonio.loads(out.read_text())["iterations"] > 0
+
+    status, tracer = _traced_main(["evaluate", model, "--policy", policy,
+                                   "--out", str(out)])
+    assert status == 0
+    for name in ("solver.evaluate_policy_linear",
+                 "solver.evaluate_policy_iterative"):
+        assert names(tracer).count(name) == 1, (name, names(tracer))
+
+    status, tracer = _traced_main(["simulate", model, "--policy", policy,
+                                   "--n", "100", "--out", str(out)])
+    assert status == 0
+    n_states = len(jsonio.loads(out.read_text())["estimates"])
+    assert names(tracer).count("simulate.estimate_value_mc") == n_states
+    assert [call["x0"] for call in tracer.mc_calls] == list(range(n_states))
+    assert {"master_seed", "max_jumps"} <= set(tracer.mc_calls[0])
+
+    status, tracer = _traced_main(["oracle", model, "--horizon", "3",
+                                   "--out", str(out)])
+    assert status == 0
+    assert names(tracer).count("solver.finite_horizon_oracle") == 3
+    capsys.readouterr()

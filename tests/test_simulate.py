@@ -1,5 +1,5 @@
 import itertools
-
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +106,17 @@ class TestEstimates:
         assert not est.mean.is_finite
         assert est.std_error is None
         assert est.lower_bound_mean == 1.0
+
+    @pytest.mark.parametrize("x0", [30, 62])
+    def test_overflow_to_infinity_warns_nothing(self, x0):
+        """e^cost of a long divergent path overflows to inf, which is the
+        estimate; numpy must not report that as a warning."""
+        model = gen_example("birth_death", {"levels": 63, "birth": 3,
+                                            "death": 1, "cost": 1}, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_value_mc(model, only_policy(model), x0, 100, 0)
+        assert not est.mean.is_finite
 
     def test_heavy_tail_suppresses_std_error(self):
         # near-unit tail index: a single sample can dominate the sum

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,19 @@ class TestValueIterate:
                                                        **kwargs)):
             with pytest.raises(ValueError, match=message):
                 call()
+
+    def test_overflow_to_infinity_warns_nothing(self):
+        """Value iteration finds a divergent state by its iterate
+        overflowing to inf; numpy must not report that as a warning."""
+        model = gen_example("birth_death", {"levels": 63, "birth": 3,
+                                            "death": 1, "cost": 1}, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = solve_ctmdp(model, cap=math.inf)
+            values = evaluate_policy_iterative(
+                build_equivalent_dtmdp(model), report.policy, cap=math.inf)
+        assert report.infinite_states
+        assert not values.finite_mask.all()
 
     def test_monotone_sweeps_explicit(self, monotone_corpus):
         for item in monotone_corpus[:20]:
