@@ -35,9 +35,9 @@ EXIT_ORACLE_MISMATCH = 3
 
 @dataclass
 class RunConfig:
-    """One subcommand's inputs; the class defaults are also the CLI's.
-    `tol`, `max_iters` and `cap` are the solver's defaults when None; the
-    commands that read them get those from `config_from_args`."""
+    """One subcommand's inputs.  `tol`, `max_iters` and `cap` left None
+    take the solver's defaults; `config_from_args` fills them in for the
+    commands that have those flags, and the other defaults are the CLI's."""
 
     command: str
     model_path: str = None
@@ -75,6 +75,13 @@ def _values_by_state(model, value) -> dict:
     return {model.states[x]: vals[x] for x in range(model.n_states)}
 
 
+def _solver_options(config: RunConfig) -> dict:
+    """The solver arguments that `config` sets; the solver has the rest."""
+    options = {"tol": config.tol, "max_iters": config.max_iters,
+               "cap": config.cap}
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _cmd_validate(config: RunConfig):
     model = _load_model(config)
     return EXIT_OK, model.to_dict()
@@ -89,8 +96,7 @@ def _cmd_reduce(config: RunConfig):
 def _cmd_solve(config: RunConfig):
     from . import solver
     model = _load_model(config)
-    report, _ = solver.solve_ctmdp(model, tol=config.tol,
-                                   max_iters=config.max_iters, cap=config.cap)
+    report, _ = solver.solve_ctmdp(model, **_solver_options(config))
     status = EXIT_OK if report.converged else EXIT_NOT_CONVERGED
     return status, report.to_dict(model.states, model.actions)
 
@@ -101,8 +107,8 @@ def _cmd_evaluate(config: RunConfig):
     policy = _load_policy(config, model)
     linear = solver.evaluate_policy_linear(model, policy)
     iterative = solver.evaluate_policy_iterative(
-        reduction.build_equivalent_dtmdp(model), policy, tol=config.tol,
-        cap=config.cap, max_iters=config.max_iters)
+        reduction.build_equivalent_dtmdp(model), policy,
+        **_solver_options(config))
     both_finite = linear.finite_mask & iterative.finite_mask
     diff = float(np.max(np.abs(linear.values[both_finite]
                                - iterative.values[both_finite]))) \

@@ -342,26 +342,26 @@ def _lockstep(tables, starts, keys, n: int, n_steps: int,
     return costs.reshape(-1, n), finals.reshape(-1, n)
 
 
-# e^cost of a long path, and a mean or spread of such samples, may
-# overflow to inf, which is then the estimate
-@np.errstate(over="ignore")
 def _summarize(costs, infinite, truncated, master_seed: int) -> McEstimate:
-    n = len(costs)
-    lb_samples = np.exp(costs)
-    lower = float(np.mean(lb_samples))
-    samples = np.where(infinite, np.inf, lb_samples)
-    if np.isinf(samples).any():
-        mean = ExtReal(INF)
-    else:
-        mean = ExtReal(float(np.mean(samples)))
-    if np.isinf(samples).any():
-        std_error = None
-    elif samples.max() == samples.min():
-        std_error = 0.0
-    elif samples.max() <= 0.5 * samples.sum():
-        std_error = float(samples.std(ddof=1) / math.sqrt(n))
-    else:
-        std_error = None  # heavy tail: a CI would be meaningless
+    # e^cost of a long path, and a mean or spread of such samples, may
+    # overflow to inf, which is then the estimate
+    with np.errstate(over="ignore"):
+        n = len(costs)
+        lb_samples = np.exp(costs)
+        lower = float(np.mean(lb_samples))
+        samples = np.where(infinite, np.inf, lb_samples)
+        if np.isinf(samples).any():
+            mean = ExtReal(INF)
+        else:
+            mean = ExtReal(float(np.mean(samples)))
+        if np.isinf(samples).any():
+            std_error = None
+        elif samples.max() == samples.min():
+            std_error = 0.0
+        elif samples.max() <= 0.5 * samples.sum():
+            std_error = float(samples.std(ddof=1) / math.sqrt(n))
+        else:
+            std_error = None  # heavy tail: a CI would be meaningless
     return McEstimate(mean=mean, std_error=std_error, n_trajectories=n,
                       truncated_fraction=float(np.mean(truncated)),
                       lower_bound_mean=lower,

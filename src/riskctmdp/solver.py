@@ -175,9 +175,6 @@ def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
                        f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
-# an iterate that overflows to inf is the divergence that the cap and
-# streak bookkeeping classify, so numpy need not warn about it
-@np.errstate(over="ignore")
 def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
     """Shared fixed-point loop: monotone sweeps, cap classification, stopping.
 
@@ -198,37 +195,41 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
     # the lean sweep needs every iterate finite as well as at most the cap;
     # with cap = inf an overflowed iterate must still take the full path
     lean_cap = min(cap, np.finfo(float).max)
-    v = np.ones(n)
-    streak = None  # consecutive growing sweeps above the cap, per state
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        tv = np.maximum(sweep(v), 1.0)
-        if streak is None and tv.max() <= lean_cap:
-            rel = (tv - v) / v  # v and tv finite: every state is active
-            if rel.min() < 0.0:
-                raise _non_monotone(v, tv)
-            change, pending = rel.max(), False
-        else:
-            if streak is None:
-                streak = np.zeros(n, dtype=int)
-            tv[np.isinf(v)] = np.inf
-            if np.any(tv < v):
-                raise _non_monotone(v, tv)
-            finite = np.isfinite(tv)
-            streak = np.where(finite & (tv > cap) & (tv > v), streak + 1, 0)
-            diverged = streak >= DIVERGENCE_SWEEPS
-            if diverged.any():
-                tv[diverged] = np.inf
-                streak[diverged] = 0
-            active = np.isfinite(tv) & (tv <= cap)
-            pending = (np.isfinite(tv) & (tv > cap)).any()  # unclassified
-            change = float(((tv[active] - v[active]) / v[active]).max()) \
-                if active.any() else 0.0
-        v = tv
-        if change < tol and not pending:
-            converged = True
-            break
+    # an iterate that overflows to inf is the divergence that the cap and
+    # streak bookkeeping classify, so numpy need not warn about it
+    with np.errstate(over="ignore"):
+        v = np.ones(n)
+        streak = None  # consecutive growing sweeps above the cap, per state
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iters + 1):
+            tv = np.maximum(sweep(v), 1.0)
+            if streak is None and tv.max() <= lean_cap:
+                rel = (tv - v) / v  # v and tv finite: every state is active
+                if rel.min() < 0.0:
+                    raise _non_monotone(v, tv)
+                change, pending = rel.max(), False
+            else:
+                if streak is None:
+                    streak = np.zeros(n, dtype=int)
+                tv[np.isinf(v)] = np.inf
+                if np.any(tv < v):
+                    raise _non_monotone(v, tv)
+                finite = np.isfinite(tv)
+                streak = np.where(finite & (tv > cap) & (tv > v),
+                                  streak + 1, 0)
+                diverged = streak >= DIVERGENCE_SWEEPS
+                if diverged.any():
+                    tv[diverged] = np.inf
+                    streak[diverged] = 0
+                active = np.isfinite(tv) & (tv <= cap)
+                pending = (np.isfinite(tv) & (tv > cap)).any()  # unclassified
+                change = float(((tv[active] - v[active]) / v[active]).max()) \
+                    if active.any() else 0.0
+            v = tv
+            if change < tol and not pending:
+                converged = True
+                break
     return v, iterations, converged
 
 

@@ -292,6 +292,20 @@ def test_defaults_come_from_the_solver():
         "m.json", "p.json", "o.json", 100_000, 0)
 
 
+def test_run_without_solver_options_uses_the_solver_defaults(tmp_path,
+                                                            capsys):
+    model_path = _gen_two_state(tmp_path)
+    solve_path = tmp_path / "solve.json"
+    assert cli.main(["solve", str(model_path), "--out", str(solve_path)]) == 0
+    for command, flags in (("solve", []),
+                           ("evaluate", ["--policy", str(solve_path)])):
+        _, out, _ = _run(capsys, command, str(model_path), *flags)
+        status, report = cli.run(cli.RunConfig(
+            command, model_path=str(model_path),
+            policy_path=str(solve_path)))
+        assert status == 0 and jsonio.dumps(report) == out, command
+
+
 def test_oracle_exit_codes(tmp_path, capsys, monkeypatch):
     model_path = _gen_two_state(tmp_path)
     status, out, _ = _run(capsys, "oracle", str(model_path), "--horizon", "4")

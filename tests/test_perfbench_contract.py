@@ -38,6 +38,12 @@ def test_fixed_point_loop_takes_sweep_first():
     assert params[0] == "sweep"
 
 
+def test_fixed_point_loop_is_a_plain_function():
+    """The tracer's wrapper carries `__wrapped__`, and the benchmark's
+    self-test checks that none is left after uninstalling it."""
+    assert not hasattr(riskctmdp.solver._iterate, "__wrapped__")
+
+
 @pytest.mark.parametrize("kind, params", [
     ("two_state", {"q": 1, "c": 0.99}),
     ("birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1}),
