@@ -36,8 +36,7 @@ EXIT_ORACLE_MISMATCH = 3
 @dataclass
 class RunConfig:
     """One subcommand's inputs.  `tol`, `max_iters` and `cap` left None
-    take the solver's defaults; `config_from_args` fills them in for the
-    commands that have those flags, and the other defaults are the CLI's."""
+    take the solver's defaults; the other defaults are the CLI's."""
 
     command: str
     model_path: str = None
@@ -263,14 +262,6 @@ _FIELD_OF_ARG = {"model": "model_path", "policy": "policy_path",
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     values = {_FIELD_OF_ARG.get(k, k): v for k, v in vars(args).items()}
-    if "tol" in values:  # a command with solver flags loads the solver anyway
-        from . import solver
-        defaults = {"tol": solver.DEFAULT_TOL,
-                    "max_iters": solver.DEFAULT_MAX_ITERS,
-                    "cap": solver.DEFAULT_CAP}
-        for key, default in defaults.items():
-            if values[key] is None:
-                values[key] = default
     if "params" in values:
         try:
             values["params"] = jsonio.loads(values["params"])

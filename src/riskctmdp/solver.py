@@ -474,6 +474,11 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     with an expectation, so this is independent of the one-step recursion
     it is used to check.  Guarded: horizon <= 6 and
     n_actions ** (n_states * horizon) <= 10^7.
+
+    The costs of a strategy's last k steps from every state form one
+    column.  A table picks one action per state, so each step multiplies
+    the columns by each action's weights once, and the column that
+    prepends table t takes its row x from action t(x)'s product.
     """
     n, m = dtmdp.n_states, dtmdp.n_actions
     if horizon < 0:
@@ -483,21 +488,18 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     if horizon > ORACLE_MAX_HORIZON or m ** (n * horizon) > ORACLE_BUDGET:
         raise OracleGuardError(
             f"{m}^({n}*{horizon}) strategy tables exceed the oracle budget")
-    weights = dtmdp.step_weights
-    rows = np.arange(n)
-    tables = itertools.product(*dtmdp.admissible)
-
-    suffixes = np.ones((1, n))
-    if horizon > 1:
-        mats = [weights[rows, np.asarray(t), :] for t in tables]
-        for _ in range(horizon - 1):
-            suffixes = np.vstack([suffixes @ mat.T for mat in mats])
-        tables = itertools.product(*dtmdp.admissible)
-
-    best = np.full(n, np.inf)
-    for t in tables:
-        mat = weights[rows, np.asarray(t), :]
-        best = np.minimum(best, (suffixes @ mat.T).min(axis=0))
+    by_action = dtmdp.step_weights.transpose(1, 0, 2)
+    # tables[x] holds state x's action in each table, state 0's varying
+    # slowest; one step gathers nothing, and may admit 10^7 tables
+    tables = (np.array(list(itertools.product(*dtmdp.admissible))).T
+              if horizon > 1 else None)
+    states = np.arange(n)[:, None]
+    costs = np.ones((n, 1))
+    for _ in range(horizon - 1):  # columns ordered table-major
+        costs = (by_action @ costs)[tables, states].reshape(n, -1)
+    # one action's product at a time keeps the peak at two cost sets
+    lows = np.array([(mat @ costs).min(axis=1) for mat in by_action])
+    best = np.where(dtmdp.admissible_mask.T, lows, np.inf).min(axis=0)
     return ValueFunction(np.maximum(best, 1.0))
 
 

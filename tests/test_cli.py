@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from riskctmdp import cli, jsonio, solver
+from riskctmdp import cli, jsonio
 
 
 def _run(capsys, *argv):
@@ -283,8 +283,7 @@ def test_report_bytes_unchanged(capsys, args, report):
 def test_defaults_come_from_the_solver():
     args = cli.build_parser().parse_args(["solve", "m.json"])
     config = cli.config_from_args(args)
-    assert (config.tol, config.max_iters, config.cap) == (
-        solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITERS, solver.DEFAULT_CAP)
+    assert (config.tol, config.max_iters, config.cap) == (None, None, None)
     config = cli.config_from_args(cli.build_parser().parse_args(
         ["simulate", "m.json", "--policy", "p.json", "--out", "o.json"]))
     assert (config.model_path, config.policy_path, config.output_path,

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from riskctmdp.model import gen_example
-from riskctmdp.reduction import build_equivalent_dtmdp
-from riskctmdp.solver import (OracleGuardError, ValueFunction, bellman_apply,
+from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
+from riskctmdp.solver import (ORACLE_BUDGET, ORACLE_MAX_HORIZON,
+                              OracleGuardError, ValueFunction, bellman_apply,
                               finite_horizon_oracle)
 
 
@@ -44,6 +45,28 @@ def _literal_oracle(dtmdp, horizon):
     return np.maximum(best, 1.0)
 
 
+def _reference_oracle(dtmdp, horizon):
+    """The enumeration one strategy table at a time: each table's whole
+    matrix is built and multiplied on its own."""
+    n = dtmdp.n_states
+    weights = dtmdp.step_weights
+    rows = np.arange(n)
+    tables = itertools.product(*dtmdp.admissible)
+
+    suffixes = np.ones((1, n))
+    if horizon > 1:
+        mats = [weights[rows, np.asarray(t), :] for t in tables]
+        for _ in range(horizon - 1):
+            suffixes = np.vstack([suffixes @ mat.T for mat in mats])
+        tables = itertools.product(*dtmdp.admissible)
+
+    best = np.full(n, np.inf)
+    for t in tables:
+        mat = weights[rows, np.asarray(t), :]
+        best = np.minimum(best, (suffixes @ mat.T).min(axis=0))
+    return np.maximum(best, 1.0)
+
+
 def test_horizon_zero_is_ones(two_state_dtmdp):
     assert finite_horizon_oracle(two_state_dtmdp, 0).values.tolist() == [1, 1]
 
@@ -62,6 +85,26 @@ def test_oracle_agrees_with_literal_path_sums():
             fast = finite_horizon_oracle(dtmdp, horizon)
             slow = _literal_oracle(dtmdp, horizon)
             assert np.allclose(fast.values, slow, rtol=1e-12, atol=1e-12)
+
+
+def test_oracle_is_bitwise_the_per_table_enumeration():
+    # every horizon within budget, on the random models and on the same
+    # models with a random nonempty admissible subset at each state
+    rng = np.random.default_rng(5)
+    for seed, n, m in itertools.product(range(3), range(2, 6), range(1, 4)):
+        full = build_equivalent_dtmdp(gen_example("random", {"n": n, "m": m},
+                                                  seed))
+        admissible = [rng.choice(m, rng.integers(1, m + 1),
+                                 replace=False).tolist() for _ in range(n)]
+        restricted = make_dtmdp(full.states, full.actions, full.kernel,
+                                full.log_cost, admissible=admissible)
+        for dtmdp in (full, restricted):
+            for h in range(1, ORACLE_MAX_HORIZON + 1):
+                if m ** (n * h) > ORACLE_BUDGET:
+                    break
+                assert np.array_equal(finite_horizon_oracle(dtmdp, h).values,
+                                      _reference_oracle(dtmdp, h)), (
+                    seed, n, m, h, dtmdp.admissible)
 
 
 def test_oracle_matches_sweeps_on_corpus(oracle_corpus):

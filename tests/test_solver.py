@@ -430,7 +430,8 @@ def _reference_masked_apply(weights, v):
     inf_mask = np.isinf(v)
     flat = weights.reshape(-1, weights.shape[-1])
     if not inf_mask.any():
-        out = flat @ v
+        with np.errstate(over="ignore"):  # overflow to inf is intended here
+            out = flat @ v
     else:
         out = flat @ np.where(inf_mask, 0.0, v)
         reaches = (flat[:, inf_mask] > 0).any(axis=1)
