@@ -13,18 +13,18 @@ limit is the value of the model.
 solve_ctmdp finishes by policy iteration (policy_iterate): a few sweeps
 of value iteration give a first policy, and each step evaluates the
 policy exactly (evaluate_policy_linear: one LU solve, certified by an
-M-matrix test) and switches states to strictly better actions.  It stops
-when no state switches, at the value of an optimal stationary policy,
+M-matrix test) and switches states to strictly better actions, or, where
+none is better, decides the states left infinite by power steps
+(_eigen_step).  It stops at the value of an optimal stationary policy,
 which the paper shows exists.  value_iterate alone is plain value
 iteration, the route solve_ctmdp took before.
 
 Value iteration detects divergence to infinity by a cap heuristic: a
 state whose iterate exceeds the cap and keeps growing for a fixed number
-of sweeps is classified infinite and pinned there.  Under policy
-iteration it only confirms the states that the final policy leaves
-infinite.  That bookkeeping starts only once an iterate passes the cap or
-is infinite; before that no state can be pending or pinned, so a sweep
-just floors, checks monotonicity and measures the change, and the
+of sweeps is classified infinite and pinned there.  solve_ctmdp does not
+classify by it.  That bookkeeping starts only once an iterate passes the
+cap or is infinite; before that no state can be pending or pinned, so a
+sweep just floors, checks monotonicity and measures the change, and the
 classification is the same as if it ran on every sweep.
 
 The module also provides residual checks against the original
@@ -406,8 +406,8 @@ def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
     finite but beyond what double precision can certify: the rounding
     bound grows with u, which is about the expected number of steps, so a
     class that takes more than about 1e15 / n steps to leave fails
-    whatever its cost.  solve_ctmdp then reports converged=False, because
-    value iteration finds such a state finite.
+    whatever its cost.  solve_ctmdp then reports converged=False, as the
+    power steps of _eigen_step cannot show such a state infinite either.
     """
     choice = model.check_policy(policy)
     d, gross, inflow, costly = _policy_system(model, choice)
@@ -522,68 +522,97 @@ def _unit_actions(dtmdp: DtmdpModel):
         unit = kept
 
 
+def _eigen_step(weights, adm, choice, stuck, z, budget):
+    """Howard and Matheson's eigenvalue step on the stuck states, whose
+    actions are all infinite at the value of the policy held.
+
+    Per strongly connected class c, sinks first, without actions into the
+    other stuck states (closed ones: c reaches no others), lazy power
+    steps y <- y + T_c y, scaled to a largest entry of 1, run from the
+    warm iterate z; T_c is the one-step operator on the columns of c.
+    Beyond the rounding margin of _certified_solve, a lowest ratio
+    T_c y / y above 1 shows c infinite, as no finite V >= 1 has
+    V >= T_c V (Nesterov and Protasov, SIAM J. Matrix Anal. Appl. 34(3),
+    2013), and the states below 1 whose greedy actions keep to them are
+    finite under those actions.  Out of budget, or with no better bound in
+    len(c) steps, c is left undecided.  Returns the states to switch and
+    their actions; whether every class was shown infinite, which matters
+    only when none switches; and the budget left.
+    """
+    certified, todo = True, [stuck]
+    while todo:
+        c = todo.pop()
+        actions = np.arange(adm.shape[1])
+        into_others = weights[np.ix_(c, actions, np.setdiff1d(stuck, c))]
+        allowed = adm[c] & ~(into_others > 0.0).any(axis=2)
+        block = weights[np.ix_(c, actions, c)]
+        classes = _sink_classes_first(
+            ((block > 0.0) & allowed[:, :, None]).any(axis=1))
+        if len(classes) > 1:
+            todo += [c[k] for k in reversed(classes)]
+            continue
+        y = z[c] if np.isfinite(z[c]).all() else np.ones(len(c))
+        margin = 2 * (len(c) + 1) * np.finfo(float).eps
+        low, high, idle = 0.0, np.inf, 0
+        while budget and idle < len(c) and low <= 1.0 + margin:
+            budget -= 1
+            y = y / y.max()
+            ty, pick = _argmin_admissible(block @ y, allowed)
+            ratio = ty / y  # inf where no action is left
+            idle = 0 if ratio.min() > low or ratio.max() < high else idle + 1
+            low, high = max(low, ratio.min()), min(high, ratio.max())
+            fine = ~_reaching(block[np.arange(len(c)), pick] > 0.0,
+                              ~(ratio < 1.0 - margin))
+            if (pick != choice[c])[fine].any():
+                return c[fine], pick[fine], True, budget
+            y = y + ty  # lazy, so that periodic classes converge too
+        certified &= bool(low > 1.0 + margin)
+    return [], [], certified, budget
+
+
 def _policy_iterate(dtmdp: DtmdpModel, exact, tol: float, max_iters: int,
                     cap: float) -> SolveReport:
     """policy_iterate, evaluating each policy on `exact`: dtmdp itself or
     the continuous-time model it was reduced from."""
     rows = np.arange(dtmdp.n_states)
-    adm = dtmdp.admissible_mask
+    weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
     unit, unit_action = _unit_actions(dtmdp)
-
-    def start(report):
-        # states of value 1 keep to zero-cost steps: otherwise improvement
-        # can stop at a larger fixed point, where a zero-cost cycle ties
-        # with the policy's own value and is never switched to
-        return np.where(unit, unit_action, report.policy.choice)
-
     vi = value_iterate(dtmdp, tol=tol, max_iters=min(WARM_SWEEPS, max_iters),
                        cap=cap)
-    sweeps, budget = vi.iterations, max_iters - vi.iterations
-    choice, confirmed = start(vi), False
-    while True:
-        while True:  # Howard's improvement, one evaluation per step
-            if budget == 0:
-                return replace(vi, iterations=sweeps, converged=False)
-            budget -= 1
-            u = evaluate_policy_linear(
-                exact, StationaryPolicy(tuple(choice.tolist()))).values
-            after = np.where(adm, _masked_apply(dtmdp.step_weights, u),
-                             np.inf)
-            best, lowest = _argmin_admissible(after, adm)
-            switch = best < after[rows, choice] * (1.0 - IMPROVE_RTOL)
-            if not switch.any():
-                break
-            choice = np.where(switch, lowest, choice)
-        infinite = np.isinf(u)
-        if confirmed or not infinite.any():
-            break
-        # the states this policy leaves infinite are checked by value
-        # iteration's cap heuristic; a state it finds finite restarts
-        # improvement from its greedy policy
+    budget = max_iters - vi.iterations
+    # states of value 1 keep to zero-cost steps: otherwise improvement can
+    # stop at a larger fixed point, where a zero-cost cycle ties with the
+    # policy's own value and is never switched to
+    choice = np.where(unit, unit_action, vi.policy.choice)
+    certified = True
+    while True:  # Howard's improvement, one evaluation per step
         if budget == 0:
-            return replace(vi, iterations=sweeps, converged=False)
-        vi = value_iterate(dtmdp, tol=tol, max_iters=budget, cap=cap)
-        sweeps, budget = sweeps + vi.iterations, budget - vi.iterations
-        if not vi.converged:
-            return replace(vi, iterations=sweeps)
-        confirmed = True
-        if not (infinite & vi.value.finite_mask).any():
+            return replace(vi, converged=False)
+        budget -= 1
+        u = evaluate_policy_linear(
+            exact, StationaryPolicy(tuple(choice.tolist()))).values
+        after = np.where(adm, _masked_apply(weights, u), np.inf)
+        best, lowest = _argmin_admissible(after, adm)
+        switch = best < after[rows, choice] * (1.0 - IMPROVE_RTOL)
+        if not switch.any() and np.isinf(u).any():
+            moved, acts, certified, budget = _eigen_step(
+                weights, adm, choice, np.flatnonzero(np.isinf(u)),
+                vi.value.values, budget)
+            switch[moved], lowest[moved] = True, acts
+        if not switch.any():
             break
-        choice = start(vi)
-    # a state is reported infinite only when value iteration agrees
-    disputed = infinite & vi.value.finite_mask
-    u = np.where(disputed, vi.value.values, u)
+        choice = np.where(switch, lowest, choice)
     choice = np.where(np.isinf(u), np.argmax(adm, axis=1), choice)
-    finite = np.isfinite(u) & np.isfinite(best)
+    finite = np.isfinite(u)
     tu = np.maximum(best[finite], 1.0)
     resid = float(np.max(np.abs(tu - u[finite]) / u[finite])) \
         if finite.any() else 0.0
     return SolveReport(value=ValueFunction(u),
                        policy=StationaryPolicy(tuple(choice.tolist())),
-                       iterations=sweeps, sup_residual=resid,
+                       iterations=vi.iterations, sup_residual=resid,
                        infinite_states=frozenset(
                            np.flatnonzero(np.isinf(u)).tolist()),
-                       converged=not disputed.any())
+                       converged=certified)
 
 
 def policy_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
@@ -599,20 +628,17 @@ def policy_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     evaluate_policy_linear and switches a state to the lowest-index
     argmin of the one-step operator at that value, but only where it
     beats the current action by the factor 1 - IMPROVE_RTOL; an infinite
-    value is beaten by any finite one.  Improvement stops when no state
-    switches.  A finite value is then the value of a policy, an upper
-    bound on the optimal value, and no action improves on it.
+    value is beaten by any finite one.  If no state switches but some are
+    infinite, _eigen_step shows them infinite or finds a finite policy to
+    resume from.
 
-    If the policy leaves states infinite, value_iterate runs in full and
-    its cap heuristic checks them.  If it finds one finite, improvement
-    restarts once from its greedy policy; a state still infinite after
-    that but finite to value iteration keeps value iteration's value and
-    the report says converged=False.
-
-    iterations counts the sweeps of value_iterate (the warm start and any
-    check).  max_iters bounds sweeps plus improvement steps; when it runs
-    out, the report holds the last value-iteration iterate with
-    converged=False.
+    converged=True certifies each finite value by the evaluator's M-matrix
+    test with no improving action, and each infinite one by a lowest
+    power-step ratio above 1.  iterations counts the warm sweeps only.
+    max_iters bounds sweeps, improvement and power steps together.  Out of
+    budget at an improvement step, the report holds the last
+    value-iteration iterate; undecided classes, also for want of budget,
+    read infinite; either way converged=False.
     """
     return _policy_iterate(dtmdp, dtmdp, tol, max_iters, cap)
 

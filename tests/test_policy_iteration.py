@@ -4,6 +4,7 @@ stationary policies, and the exact evaluator it stands on."""
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
 from riskctmdp.solver import (evaluate_policy_iterative,
                               evaluate_policy_linear, policy_iterate,
                               solve_ctmdp, value_iterate)
+import exact
 from conftest import only_policy, vi_solve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -232,7 +234,7 @@ def test_uncertifiable_finite_class_is_reported_infinite():
     assert value.values.tolist() == [math.inf, math.inf, 1.0]
     report, _ = solve_ctmdp(model)
     assert not report.converged
-    assert not report.infinite_states
+    assert report.infinite_states == {0, 1}
 
 
 def test_linear_evaluation_never_iterates(monkeypatch):
@@ -260,3 +262,128 @@ def test_max_iters_bounds_sweeps_and_steps(max_iters, converged):
     if not converged:
         vi = value_iterate(dtmdp, max_iters=max_iters)
         assert report.value.values.tobytes() == vi.value.values.tobytes()
+
+
+def _stall(n, seed):
+    """gen random n m=2 cost_scale=0.95: improvement from the warm policy
+    stalls with states infinite under every action, though all are
+    finite."""
+    return gen_example("random", {"n": n, "m": 2, "cost_scale": 0.95}, seed)
+
+
+# value iteration took 572, 1 302 and 15 711 sweeps to find these finite
+STALLS = [(6, 18), (8, 44), (12, 30)]
+
+
+@pytest.mark.parametrize("n, seed", STALLS)
+def test_a_stall_resumes_from_the_power_steps(monkeypatch, n, seed):
+    calls = []
+    step = solver._eigen_step
+    monkeypatch.setattr(solver, "_eigen_step",
+                        lambda *args: calls.append(1) or step(*args))
+    report, _ = solve_ctmdp(_stall(n, seed))
+    assert calls
+    assert report.iterations == solver.WARM_SWEEPS
+    assert report.converged and not report.infinite_states
+
+
+def test_solve_runs_value_iteration_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return value_iterate(*args, **kwargs)
+    monkeypatch.setattr(solver, "value_iterate", counting)
+    goldens = [validate_model(jsonio.loads(
+        (GOLDEN / f"{name}.model.json").read_text()))
+        for name in ("infinite", "divergent")]
+    for model in [_stall(n, seed) for n, seed in STALLS] + goldens + [
+            _cycle(0.9)]:
+        calls.clear()
+        solve_ctmdp(model)
+        assert len(calls) == 1
+
+
+def test_power_steps_draw_on_max_iters():
+    report, _ = solve_ctmdp(_stall(12, 30), max_iters=solver.WARM_SWEEPS + 2)
+    assert not report.converged
+    assert report.iterations == solver.WARM_SWEEPS
+
+
+def _escape_or_trap(growth):
+    """x steps to y (action a) or stays at a cost with a way out (b,
+    value 99); y stays at a cost, its value growing by `growth` a step,
+    and returns to x.  x and y form one class, y is infinite and x is
+    not.  y grows too slowly for the warm sweeps to show it, so the warm
+    policy sends x to y and improvement stalls with both infinite."""
+    kernel = np.zeros((3, 2, 3))
+    log_cost = np.zeros((3, 2))
+    kernel[0, 0, 1] = 1.0
+    kernel[0, 1, [0, 2]] = 0.5
+    log_cost[0, 1] = math.log(1.98)
+    kernel[1, 0, [0, 1]] = [0.01, 0.99]
+    log_cost[1, 0] = math.log(growth / 0.99)
+    kernel[2, 0, 2] = 1.0
+    return make_dtmdp(["x", "y", "end"], ["a", "b"], kernel, log_cost,
+                      admissible=[[0, 1], [0], [0]])
+
+
+@pytest.mark.parametrize("growth", [1.001, 1.0001])
+def test_finite_states_inside_an_infinite_class(growth):
+    """Value iteration found x finite after 21 115 sweeps at growth 1.001
+    and ran out of sweeps at 1.0001."""
+    report = policy_iterate(_escape_or_trap(growth))
+    assert report.converged and report.iterations == solver.WARM_SWEEPS
+    assert report.value.values.tolist() == [pytest.approx(99.0), math.inf,
+                                            1.0]
+    assert report.policy.choice == (1, 0, 0)
+
+
+def test_states_with_every_action_into_a_shown_class_are_infinite():
+    """t is a costly trap; both actions of x reach it, and y reaches x."""
+    kernel = np.zeros((4, 2, 4))
+    log_cost = np.zeros((4, 2))
+    kernel[0, 0, 0] = 1.0
+    log_cost[0, 0] = math.log(1.5)
+    kernel[1, 0, [0, 2]] = 0.5
+    kernel[1, 1, [0, 1]] = [0.1, 0.9]
+    kernel[2, 0, [1, 3]] = 0.5
+    kernel[3, 0, 3] = 1.0
+    dtmdp = make_dtmdp(["t", "x", "y", "end"], ["a", "b"], kernel, log_cost,
+                       admissible=[[0], [0, 1], [0], [0]])
+    report = policy_iterate(dtmdp)
+    assert report.converged and report.infinite_states == {0, 1, 2}
+
+
+def test_a_periodic_class_is_shown_infinite():
+    """x and y alternate with no self-loop, the step back to x costing a
+    factor 1.02.  On this period-2 class the ratios of plain power steps
+    y <- T y / max(T y) swing between the same two pairs for ever; value
+    iteration found the class infinite after 71 706 sweeps."""
+    kernel = np.zeros((3, 1, 3))
+    kernel[0, 0, 0] = kernel[1, 0, 2] = kernel[2, 0, 1] = 1.0
+    log_cost = np.zeros((3, 1))
+    log_cost[2, 0] = math.log(1.02)
+    report = policy_iterate(make_dtmdp(["end", "x", "y"], ["a"], kernel,
+                                       log_cost))
+    assert report.converged and report.infinite_states == {1, 2}
+    assert report.iterations == solver.WARM_SWEEPS
+
+
+@pytest.mark.parametrize("n, cost_scale, seed", [
+    (6, 0.95, 18), (8, 0.95, 44),                 # stalls
+    (6, 0.99, 377), (7, 0.9, 127), (6, 0.8, 85),  # with infinite states
+    (6, 0.95, 146)])
+def test_solve_matches_the_exact_optimum(n, cost_scale, seed):
+    """Against the minimum over all 2^n stationary policies of their
+    values in exact rational arithmetic (tests/exact.py)."""
+    model = gen_example("random", {"n": n, "m": 2, "cost_scale": cost_scale},
+                        seed)
+    want = exact.optimal_value(model)
+    report, _ = solve_ctmdp(model)
+    assert report.converged
+    assert report.infinite_states == {x for x, v in enumerate(want)
+                                      if v == math.inf}
+    eps = Fraction(np.finfo(float).eps)
+    for x in set(range(n)) - report.infinite_states:
+        assert abs(Fraction(report.value[x]) - want[x]) <= 4 * eps * want[x]
