@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,40 +32,21 @@ EXIT_NOT_CONVERGED = 2
 EXIT_ORACLE_MISMATCH = 3
 
 
-@dataclass
-class RunConfig:
-    """One subcommand's inputs.  `tol`, `max_iters` and `cap` left None
-    take the solver's defaults; the other defaults are the CLI's."""
-
-    command: str
-    model_path: str = None
-    policy_path: str = None
-    tol: float = None
-    max_iters: int = None
-    cap: float = None
-    n_trajectories: int = 100_000
-    seed: int = 0
-    horizon: int = None
-    output_path: str = None
-    kind: str = None
-    params: dict = field(default_factory=dict)
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return jsonio.loads(handle.read())
 
 
-def _load_model(config: RunConfig):
-    if not config.model_path:
+def _load_model(args):
+    if not args.model:
         raise ModelError("a model file is required")
-    return validate_model(_load_json(config.model_path))
+    return validate_model(_load_json(args.model))
 
 
-def _load_policy(config: RunConfig, model):
-    if not config.policy_path:
+def _load_policy(args, model):
+    if not args.policy:
         raise ModelError("this command requires --policy")
-    return parse_policy(model, _load_json(config.policy_path))
+    return parse_policy(model, _load_json(args.policy))
 
 
 def _values_by_state(model, value) -> dict:
@@ -74,40 +54,39 @@ def _values_by_state(model, value) -> dict:
     return {model.states[x]: vals[x] for x in range(model.n_states)}
 
 
-def _solver_options(config: RunConfig) -> dict:
-    """The solver arguments that `config` sets; the solver has the rest."""
-    options = {"tol": config.tol, "max_iters": config.max_iters,
-               "cap": config.cap}
+def _solver_options(args) -> dict:
+    """The solver arguments that `args` sets; the solver has the rest."""
+    options = {"tol": args.tol, "max_iters": args.max_iters, "cap": args.cap}
     return {k: v for k, v in options.items() if v is not None}
 
 
-def _cmd_validate(config: RunConfig):
-    model = _load_model(config)
+def _cmd_validate(args):
+    model = _load_model(args)
     return EXIT_OK, model.to_dict()
 
 
-def _cmd_reduce(config: RunConfig):
+def _cmd_reduce(args):
     from . import reduction
-    model = _load_model(config)
+    model = _load_model(args)
     return EXIT_OK, reduction.build_equivalent_dtmdp(model).to_dict()
 
 
-def _cmd_solve(config: RunConfig):
+def _cmd_solve(args):
     from . import solver
-    model = _load_model(config)
-    report, _ = solver.solve_ctmdp(model, **_solver_options(config))
+    model = _load_model(args)
+    report, _ = solver.solve_ctmdp(model, **_solver_options(args))
     status = EXIT_OK if report.converged else EXIT_NOT_CONVERGED
     return status, report.to_dict(model.states, model.actions)
 
 
-def _cmd_evaluate(config: RunConfig):
+def _cmd_evaluate(args):
     from . import reduction, solver
-    model = _load_model(config)
-    policy = _load_policy(config, model)
+    model = _load_model(args)
+    policy = _load_policy(args, model)
     linear = solver.evaluate_policy_linear(model, policy)
     iterative = solver.evaluate_policy_iterative(
         reduction.build_equivalent_dtmdp(model), policy,
-        **_solver_options(config))
+        **_solver_options(args))
     both_finite = linear.finite_mask & iterative.finite_mask
     diff = float(np.max(np.abs(linear.values[both_finite]
                                - iterative.values[both_finite]))) \
@@ -126,17 +105,16 @@ def _cmd_evaluate(config: RunConfig):
     return EXIT_OK, report
 
 
-def _cmd_simulate(config: RunConfig):
+def _cmd_simulate(args):
     from . import simulate, solver
-    model = _load_model(config)
-    policy = _load_policy(config, model)
+    model = _load_model(args)
+    policy = _load_policy(args, model)
     evaluated = solver.evaluate_policy_linear(model, policy)
     estimates = {}
     deviations = {}
     for x, name in enumerate(model.states):
-        est = simulate.estimate_value_mc(model, policy, x,
-                                         config.n_trajectories,
-                                         (config.seed + x) & ((1 << 64) - 1))
+        est = simulate.estimate_value_mc(model, policy, x, args.n,
+                                         (args.seed + x) & ((1 << 64) - 1))
         estimates[name] = est.to_dict()
         mean = est.mean.value
         value = evaluated.values[x]
@@ -149,26 +127,24 @@ def _cmd_simulate(config: RunConfig):
         "estimates": estimates,
         "evaluated_values": _values_by_state(model, evaluated),
         "abs_deviation": deviations,
-        "n": config.n_trajectories,
-        "seed": config.seed,
+        "n": args.n,
+        "seed": args.seed,
     }
     return EXIT_OK, report
 
 
-def _cmd_oracle(config: RunConfig):
+def _cmd_oracle(args):
     from . import reduction, solver
-    if config.horizon is None:
-        raise ModelError("the oracle command requires --horizon")
-    if not 1 <= config.horizon <= solver.ORACLE_MAX_HORIZON:
+    if not 1 <= args.horizon <= solver.ORACLE_MAX_HORIZON:
         raise ModelError("oracle horizon must be in "
                          f"1..{solver.ORACLE_MAX_HORIZON}, "
-                         f"got {config.horizon}")
-    model = _load_model(config)
+                         f"got {args.horizon}")
+    model = _load_model(args)
     dtmdp = reduction.build_equivalent_dtmdp(model)
     per_horizon = {}
     worst = 0.0
     sweep = solver.ValueFunction.constant(dtmdp.n_states)
-    for h in range(1, config.horizon + 1):
+    for h in range(1, args.horizon + 1):
         sweep = solver.bellman_apply(dtmdp, sweep)[0]
         exact = solver.finite_horizon_oracle(dtmdp, h)
         gap = float(np.max(np.abs(sweep.values - exact.values)))
@@ -176,7 +152,7 @@ def _cmd_oracle(config: RunConfig):
         worst = max(worst, gap)
     status = EXIT_OK if worst <= ORACLE_MATCH_TOL else EXIT_ORACLE_MISMATCH
     report = {
-        "horizons": list(range(1, config.horizon + 1)),
+        "horizons": list(range(1, args.horizon + 1)),
         "per_horizon_discrepancy": per_horizon,
         "max_discrepancy": worst,
         "tolerance": ORACLE_MATCH_TOL,
@@ -184,42 +160,32 @@ def _cmd_oracle(config: RunConfig):
     return status, report
 
 
-def _cmd_gen(config: RunConfig):
-    if not config.kind:
-        raise ModelError("the gen command requires --kind")
-    model = gen_example(config.kind, config.params, config.seed)
+def _cmd_gen(args):
+    try:
+        params = jsonio.loads(args.params)
+    except ValueError as exc:
+        raise ModelError(f"--params is not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ModelError("--params must be a JSON object")
+    model = gen_example(args.kind, params, args.seed)
     return EXIT_OK, model.to_dict()
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "reduce": _cmd_reduce,
-    "solve": _cmd_solve,
-    "evaluate": _cmd_evaluate,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-    "gen": _cmd_gen,
-}
-
-
-def run(config: RunConfig):
-    """Execute one subcommand; returns (exit status, report dict or None)."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise ModelError(f"unknown command '{config.command}'")
-    return handler(config)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one argument set.  Each subcommand's parser names its
+    handler, which reads the parsed arguments and returns (exit status,
+    report dict); options left unset here take the solver's defaults."""
     parser = argparse.ArgumentParser(
         prog="riskctmdp",
         description="Solve and simulate continuous-time MDPs under "
                     "exponential utility of the total cost.")
+    # dest names the subcommand in argparse's message when it is missing
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, model=True, solver=False, policy=False,
-            mc=False, horizon=False, gen=False):
+    def add(name, handler, help_text, model=True, solver=False,
+            policy=False, mc=False, horizon=False, gen=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if model:
             p.add_argument("model", help="model JSON file")
         if solver:
@@ -229,47 +195,32 @@ def build_parser() -> argparse.ArgumentParser:
         if policy:
             p.add_argument("--policy", help="policy JSON file")
         if mc:
-            p.add_argument("--n", type=int, default=RunConfig.n_trajectories,
+            p.add_argument("--n", type=int, default=100_000,
                            help="trajectories per start state")
-            p.add_argument("--seed", type=int, default=RunConfig.seed)
         if horizon:
             p.add_argument("--horizon", type=int, required=True)
         if gen:
             p.add_argument("--kind", required=True)
             p.add_argument("--params", default="{}",
                            help="generator parameters as a JSON object")
-            p.add_argument("--seed", type=int, default=RunConfig.seed)
+        if mc or gen:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the report here instead of stdout")
-        return p
 
-    add("validate", "validate a model file and print its normalized form")
-    add("reduce", "emit the equivalent discrete-time model")
-    add("solve", "solve by policy iteration; emit values, policy, residual",
+    add("validate", _cmd_validate,
+        "validate a model file and print its normalized form")
+    add("reduce", _cmd_reduce, "emit the equivalent discrete-time model")
+    add("solve", _cmd_solve,
+        "solve by policy iteration; emit values, policy, residual",
         solver=True)
-    add("evaluate", "evaluate a policy by both methods", solver=True,
-        policy=True)
-    add("simulate", "Monte Carlo estimates per start state", policy=True,
-        mc=True)
-    add("oracle", "check sweeps against the brute-force oracle", horizon=True)
-    add("gen", "generate a fixture model", model=False, gen=True)
+    add("evaluate", _cmd_evaluate, "evaluate a policy by both methods",
+        solver=True, policy=True)
+    add("simulate", _cmd_simulate, "Monte Carlo estimates per start state",
+        policy=True, mc=True)
+    add("oracle", _cmd_oracle, "check sweeps against the brute-force oracle",
+        horizon=True)
+    add("gen", _cmd_gen, "generate a fixture model", model=False, gen=True)
     return parser
-
-
-# argparse destinations whose RunConfig field has another name
-_FIELD_OF_ARG = {"model": "model_path", "policy": "policy_path",
-                 "out": "output_path", "n": "n_trajectories"}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {_FIELD_OF_ARG.get(k, k): v for k, v in vars(args).items()}
-    if "params" in values:
-        try:
-            values["params"] = jsonio.loads(values["params"])
-        except ValueError as exc:
-            raise ModelError(f"--params is not valid JSON: {exc}") from None
-        if not isinstance(values["params"], dict):
-            raise ModelError("--params must be a JSON object")
-    return RunConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -293,18 +244,16 @@ def _main(argv) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on --help
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        config = config_from_args(args)
-        status, report = run(config)
+        status, report = args.handler(args)
     except (OSError, ValueError) as exc:  # ModelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if report is not None:
-        text = jsonio.dumps(report)
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+    text = jsonio.dumps(report)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return status
 
 

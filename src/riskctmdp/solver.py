@@ -360,7 +360,8 @@ def _sink_classes_first(succ: np.ndarray) -> list:
             break
         reach = wider
     same = reach & reach.T
-    heads = np.unique(np.argmax(same, axis=1))  # lowest state of each class
+    # the lowest state of each class; np.unique would import numpy.ma
+    heads = np.flatnonzero(np.argmax(same, axis=1) == np.arange(len(same)))
     heads = heads[np.argsort(reach[heads].sum(axis=1), kind="stable")]
     return [np.flatnonzero(same[h]) for h in heads]
 
@@ -511,11 +512,15 @@ def _unit_actions(dtmdp: DtmdpModel):
     steps forever: the largest set of states each with an admissible
     zero-cost action whose successors all lie in the set.
     """
-    zero = dtmdp.admissible_mask & ~((dtmdp.kernel > 0.0)
+    positive = dtmdp.kernel > 0.0
+    zero = dtmdp.admissible_mask & ~(positive
                                      & (dtmdp.log_cost > 0.0)).any(axis=2)
+    xs, acts = np.nonzero(zero)
+    succ = positive[xs, acts]  # successors of the zero-cost pairs only
     unit = np.ones(dtmdp.n_states, dtype=bool)
     while True:
-        stays = zero & ~(dtmdp.kernel[:, :, ~unit] > 0.0).any(axis=2)
+        stays = np.zeros_like(zero)
+        stays[xs, acts] = ~succ[:, ~unit].any(axis=1)
         kept = stays.any(axis=1)
         if (kept == unit).all():
             return unit, np.argmax(stays, axis=1)
@@ -543,7 +548,8 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
     while todo:
         c = todo.pop()
         actions = np.arange(adm.shape[1])
-        into_others = weights[np.ix_(c, actions, np.setdiff1d(stuck, c))]
+        others = np.setdiff1d(stuck, c, assume_unique=True)  # no numpy.ma
+        into_others = weights[np.ix_(c, actions, others)]
         allowed = adm[c] & ~(into_others > 0.0).any(axis=2)
         block = weights[np.ix_(c, actions, c)]
         classes = _sink_classes_first(

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from riskctmdp import cli, jsonio
+from riskctmdp import cli, jsonio, validate_model
 
 
 def _run(capsys, *argv):
@@ -281,28 +281,43 @@ def test_report_bytes_unchanged(capsys, args, report):
 
 
 def test_defaults_come_from_the_solver():
-    args = cli.build_parser().parse_args(["solve", "m.json"])
-    config = cli.config_from_args(args)
-    assert (config.tol, config.max_iters, config.cap) == (None, None, None)
-    config = cli.config_from_args(cli.build_parser().parse_args(
-        ["simulate", "m.json", "--policy", "p.json", "--out", "o.json"]))
-    assert (config.model_path, config.policy_path, config.output_path,
-            config.n_trajectories, config.seed) == (
+    """Unset solver options parse to None, so the solver fills them in;
+    --n and --seed have the CLI's own defaults."""
+    parse = cli.build_parser().parse_args
+    args = parse(["solve", "m.json"])
+    assert (args.tol, args.max_iters, args.cap) == (None, None, None)
+    args = parse(["simulate", "m.json", "--policy", "p.json", "--out",
+                  "o.json"])
+    assert (args.model, args.policy, args.out, args.n, args.seed) == (
         "m.json", "p.json", "o.json", 100_000, 0)
+    assert parse(["gen", "--kind", "two_state"]).seed == 0
 
 
-def test_run_without_solver_options_uses_the_solver_defaults(tmp_path,
-                                                            capsys):
+def test_run_without_solver_options_uses_the_solver_defaults(
+        tmp_path, capsys, monkeypatch):
+    from riskctmdp import solver
     model_path = _gen_two_state(tmp_path)
     solve_path = tmp_path / "solve.json"
     assert cli.main(["solve", str(model_path), "--out", str(solve_path)]) == 0
-    for command, flags in (("solve", []),
-                           ("evaluate", ["--policy", str(solve_path)])):
-        _, out, _ = _run(capsys, command, str(model_path), *flags)
-        status, report = cli.run(cli.RunConfig(
-            command, model_path=str(model_path),
-            policy_path=str(solve_path)))
-        assert status == 0 and jsonio.dumps(report) == out, command
+    calls = []
+
+    def spy(name):
+        function = getattr(solver, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((name, kwargs))
+            return function(*args, **kwargs)
+        monkeypatch.setattr(solver, name, recorded)
+    spy("solve_ctmdp")
+    spy("evaluate_policy_iterative")
+    status, out, _ = _run(capsys, "solve", str(model_path))
+    status2, _, _ = _run(capsys, "evaluate", str(model_path), "--policy",
+                         str(solve_path))
+    assert (status, status2) == (0, 0)
+    assert calls == [("solve_ctmdp", {}), ("evaluate_policy_iterative", {})]
+    model = validate_model(jsonio.loads(model_path.read_text()))
+    report, _ = solver.solve_ctmdp(model)
+    assert out == jsonio.dumps(report.to_dict(model.states, model.actions))
 
 
 def test_oracle_exit_codes(tmp_path, capsys, monkeypatch):
@@ -349,6 +364,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert status == 1 and out == "" and "--bogus" in err
     status, _, err = _run(capsys, "oracle", str(model_path))
     assert status == 1 and "--horizon" in err
+    status, out, err = _run(capsys, "gen", "--params", "{}")
+    assert status == 1 and out == "" and "--kind" in err
+    status, out, err = _run(capsys, "bogus", str(model_path))
+    assert status == 1 and out == "" and "invalid choice: 'bogus'" in err
     for dropped in ("--tol", "--max-iters", "--cap"):
         status, _, err = _run(capsys, "oracle", str(model_path),
                               "--horizon", "2", dropped, "1")

@@ -105,3 +105,17 @@ status = cli.main(sys.argv[1:])
 print(json.dumps([status, {LOADED}]))
 """, *argv, "--out", str(tmp_path / "report.json"))
     assert json.loads(out) == [0, modules]
+
+
+@pytest.mark.parametrize("name", ["divergent", "infinite"])
+def test_solve_leaves_numpy_ma_unloaded(tmp_path, name):
+    """Solving a model with infinite states finds their classes without
+    np.unique, whose first call imports numpy.ma, a cost of some ms."""
+    out = _python("""
+import json, sys
+from riskctmdp import cli
+status = cli.main(sys.argv[1:])
+print(json.dumps([status, "numpy.ma" in sys.modules]))
+""", "solve", str(GOLDEN / f"{name}.model.json"),
+        "--out", str(tmp_path / "report.json"))
+    assert json.loads(out) == [0, False]

@@ -193,6 +193,56 @@ def test_zero_cost_cycle_beyond_the_warm_start():
     assert_matches_oracle(report, dtmdp)
 
 
+def _reference_unit_actions(dtmdp):
+    """solver._unit_actions as it was before it worked on the zero-cost
+    pairs alone: each pass gathers the whole kernel's columns outside the
+    set."""
+    zero = dtmdp.admissible_mask & ~((dtmdp.kernel > 0.0)
+                                     & (dtmdp.log_cost > 0.0)).any(axis=2)
+    unit = np.ones(dtmdp.n_states, dtype=bool)
+    while True:
+        stays = zero & ~(dtmdp.kernel[:, :, ~unit] > 0.0).any(axis=2)
+        kept = stays.any(axis=1)
+        if (kept == unit).all():
+            return unit, np.argmax(stays, axis=1)
+        unit = kept
+
+
+def _sparse_dtmdp(rng):
+    """A random model of 2-12 states and 1-4 actions: each pair steps to
+    1-3 successors, each step free with probability 0.6, and each state
+    admits a random nonempty set of actions.  The free steps make
+    zero-cost cycles and chains into costly ones; inadmissible pairs may
+    be free self-loops, which must not count."""
+    n, m = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+    kernel = np.zeros((n, m, n))
+    for x, a in itertools.product(range(n), range(m)):
+        succ = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)),
+                          replace=False)
+        kernel[x, a, succ] = rng.dirichlet(np.ones(len(succ)))
+    log_cost = np.where(rng.random((n, m, n)) < 0.6, 0.0,
+                        rng.random((n, m, n)))
+    admissible = [sorted(rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                    replace=False).tolist())
+                  for _ in range(n)]
+    return make_dtmdp([f"s{i}" for i in range(n)],
+                      [f"a{j}" for j in range(m)], kernel, log_cost,
+                      admissible=admissible)
+
+
+def test_unit_actions_match_the_whole_kernel_fixed_point():
+    rng = np.random.default_rng(2024)
+    mixed = 0
+    for _ in range(500):
+        dtmdp = _sparse_dtmdp(rng)
+        unit, actions = solver._unit_actions(dtmdp)
+        want_unit, want_actions = _reference_unit_actions(dtmdp)
+        assert np.array_equal(unit, want_unit)
+        assert np.array_equal(actions, want_actions)
+        mixed += bool(0 < unit.sum() < dtmdp.n_states)
+    assert mixed > 100  # the corpus exercises both kinds of state
+
+
 def test_classes_are_certified_sinks_first():
     """The global certificate fails on a costly cycle c <-> d; the
     classes around it are valued one at a time: f feeds only finite
@@ -387,3 +437,47 @@ def test_solve_matches_the_exact_optimum(n, cost_scale, seed):
     eps = Fraction(np.finfo(float).eps)
     for x in set(range(n)) - report.infinite_states:
         assert abs(Fraction(report.value[x]) - want[x]) <= 4 * eps * want[x]
+
+
+def _assert_within_n_plus_1_eps(values, want):
+    """Every finite exact value matched within (n + 1) eps relative, n the
+    number of states, and every infinite one read infinite."""
+    bound = (len(want) + 1) * Fraction(np.finfo(float).eps)
+    for got, exact_value in zip(values.tolist(), want):
+        if exact_value == math.inf:
+            assert got == math.inf
+        else:
+            assert abs(Fraction(got) - exact_value) <= bound * exact_value
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(gen_example("two_state", {"q": 1, "c": 1 - 10.0 ** -k},
+                               0), id=f"two_state-c=1-1e-{k}")
+      for k in range(8, 16)),
+    pytest.param(_chain(15, 0.9), id="chain-1e15"),
+])
+def test_near_critical_values_match_the_exact_ones(model):
+    """Solve and the continuous-time linear evaluator against exact
+    rational values, near criticality and far above the cap.  Measured
+    errors were at most 0.35 eps on two_state and 0.73 eps on the chain."""
+    want = exact.optimal_value(model)
+    report, _ = solve_ctmdp(model)
+    assert report.converged
+    _assert_within_n_plus_1_eps(report.value.values, want)
+    policy = only_policy(model)
+    _assert_within_n_plus_1_eps(evaluate_policy_linear(model, policy).values,
+                                exact.policy_value(model, policy.choice))
+
+
+def test_criticality_within_one_ulp_is_not_certified():
+    """two_state q=1 at c = 1 - 2^-53, the float just below 1: the exact
+    value 2^53 is finite, but the work state takes about 9e15 steps to
+    leave, beyond the about 1e15 / n that the evaluator's rounding bound
+    can certify (README, "Numerical behavior"); solve reports the state
+    infinite and says it has not converged."""
+    model = gen_example("two_state", {"q": 1, "c": 1 - 2.0 ** -53}, 0)
+    assert exact.optimal_value(model) == [1, 2 ** 53]
+    report, _ = solve_ctmdp(model)
+    assert not report.converged
+    assert report.infinite_states == {1}
+    assert report.value.values.tolist() == [1.0, math.inf]
