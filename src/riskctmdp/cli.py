@@ -55,8 +55,8 @@ def _values_by_state(model, value) -> dict:
 
 
 def _solver_options(args) -> dict:
-    """The solver arguments that `args` sets; the solver has the rest."""
-    options = {"tol": args.tol, "max_iters": args.max_iters, "cap": args.cap}
+    """The solver arguments that `args` has and sets; the solver the rest."""
+    options = {k: getattr(args, k, None) for k in ("tol", "max_iters", "cap")}
     return {k: v for k, v in options.items() if v is not None}
 
 
@@ -182,15 +182,17 @@ def build_parser() -> argparse.ArgumentParser:
     # dest names the subcommand in argparse's message when it is missing
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, model=True, solver=False,
-            policy=False, mc=False, horizon=False, gen=False):
+    def add(name, handler, help_text, model=True, max_iters=False,
+            sweeps=False, policy=False, mc=False, horizon=False, gen=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if model:
             p.add_argument("model", help="model JSON file")
-        if solver:
+        if sweeps:  # the iterative evaluator's stopping rule and cap
             p.add_argument("--tol", type=float)
+        if max_iters or sweeps:
             p.add_argument("--max-iters", type=int)
+        if sweeps:
             p.add_argument("--cap", type=float)
         if policy:
             p.add_argument("--policy", help="policy JSON file")
@@ -212,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("reduce", _cmd_reduce, "emit the equivalent discrete-time model")
     add("solve", _cmd_solve,
         "solve by policy iteration; emit values, policy, residual",
-        solver=True)
+        max_iters=True)
     add("evaluate", _cmd_evaluate, "evaluate a policy by both methods",
-        solver=True, policy=True)
+        sweeps=True, policy=True)
     add("simulate", _cmd_simulate, "Monte Carlo estimates per start state",
         policy=True, mc=True)
     add("oracle", _cmd_oracle, "check sweeps against the brute-force oracle",

@@ -29,8 +29,6 @@ from operator import itemgetter
 
 import numpy as np
 
-_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"'}
-
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -52,10 +50,7 @@ def _float_column(col: list) -> list:
     x = np.fromiter(col, float, len(col))
     fix = ((x == np.trunc(x)) & (np.abs(x) < 1e17)) | ~np.isfinite(x)
     for i in np.flatnonzero(fix).tolist():
-        text = texts[i]
-        if text == "nan":
-            raise ValueError("NaN cannot be serialized")
-        texts[i] = _NON_FINITE.get(text) or text + ".0"
+        texts[i] = format_float(col[i])
     return texts
 
 

@@ -176,9 +176,9 @@ class CtmdpModel(IndexedModel):
 
     rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
     costs: np.ndarray  # (n_states, n_actions)
-    total_rates: np.ndarray = field(default=None)  # (n_states, n_actions)
-    max_total_rate: np.ndarray = field(default=None)  # (n_states,)
-    max_cost_rate: np.ndarray = field(default=None)  # (n_states,)
+    total_rates: np.ndarray = field(init=False, repr=False)  # (n, m)
+    max_total_rate: np.ndarray = field(init=False, repr=False)  # (n,)
+    max_cost_rate: np.ndarray = field(init=False, repr=False)  # (n,)
 
     _ARRAYS = ("rates", "costs")
 
@@ -306,17 +306,14 @@ def _entries(raw_model: dict, lookups: tuple, key: str, fields: tuple,
     entries = raw_model.get(key, [])
     if not isinstance(entries, list):
         raise ModelError(f'"{key}" must be a list of entries')
-    exact = set(map(type, entries)) <= {dict}
-    if not exact:  # a dict subclass or a non-mapping
+    if not set(map(type, entries)) <= {dict}:  # a subclass or a non-mapping
         bad = [e for e in entries if not isinstance(e, dict)]
         if bad:
             raise ModelError(f"{key} entry {bad[0]!r} is not a mapping")
 
     def column(f: str):
-        """e.get(f) of every entry e, by dict.get where all are dicts."""
-        if exact:
-            return map(dict.get, entries, repeat(f))
-        return (e.get(f) for e in entries)
+        """e.get(f) of every entry e, each a dict or a dict subclass."""
+        return map(dict.get, entries, repeat(f))
 
     def coord(i: int) -> tuple:
         return tuple(entries[i].get(f) for f in fields)

@@ -249,7 +249,7 @@ def sample_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: int,
     draws = rng_stream.random(2 * max_jumps)
     jumps = []
     cost, elapsed, terminal, final = tables.walk(x0, draws, max_jumps, jumps)
-    if terminal == ABSORBED and tables.cost_rates[final] > 0.0:
+    if tables.infinite[final]:  # absorbed at a positive cost rate
         accumulated = ExtReal(INF)
     else:
         accumulated = ExtReal(cost)

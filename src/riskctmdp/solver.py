@@ -127,15 +127,23 @@ class SolveReport:
         }
 
 
+def _zero_infinite(flat: np.ndarray, v: np.ndarray):
+    """The 0·inf = 0 convention for flat @ v: v with its infinite entries
+    zeroed, and which rows of flat put positive weight on one of them,
+    where the product is +inf."""
+    inf_mask = np.isinf(v)
+    return (np.where(inf_mask, 0.0, v),
+            (flat[:, inf_mask] > 0.0).any(axis=1))
+
+
 def _masked_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     """weights @ v with zero weights absorbing infinite values of v."""
     flat = weights.reshape(-1, weights.shape[-1])
     if v.max() < np.inf:  # no entry is infinite (or NaN)
         out = flat @ v
     else:
-        inf_mask = np.isinf(v)
-        out = flat @ np.where(inf_mask, 0.0, v)
-        reaches = (flat[:, inf_mask] > 0).any(axis=1)
+        safe, reaches = _zero_infinite(flat, v)
+        out = flat @ safe
         out[reaches] = np.inf
     return out.reshape(weights.shape[:-1])
 
@@ -440,19 +448,16 @@ def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
     n = model.n_states
     if len(v.values) != n:
         raise ModelError("value function length does not match model")
-    finite = v.finite_mask
-    safe = np.where(finite, v.values, 0.0)
     flat = model.rates.reshape(-1, n)
+    safe, reaches = _zero_infinite(flat, v.values)
     # one dot product per row, bit for bit what row @ safe gives; a single
     # flat @ safe can round differently in the last bit
     inflow = np.matmul(flat[:, None, :], safe[:, None]).reshape(n, -1)
     candidate = (model.costs * safe[:, None] + inflow
                  - model.total_rates * safe[:, None])
-    # as in _masked_apply: positive weight into an infinite state is +inf
-    reaches = (flat[:, ~finite] > 0.0).any(axis=1).reshape(n, -1)
-    best = np.where(model.admissible_mask & ~reaches, candidate,
-                    np.inf).min(axis=1)
-    states = np.flatnonzero(finite)
+    best = np.where(model.admissible_mask & ~reaches.reshape(n, -1),
+                    candidate, np.inf).min(axis=1)
+    states = np.flatnonzero(v.finite_mask)
     return dict(zip(states.tolist(), best[states].tolist()))
 
 
@@ -576,15 +581,13 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
     return [], [], certified, budget
 
 
-def _policy_iterate(dtmdp: DtmdpModel, exact, tol: float, max_iters: int,
-                    cap: float) -> SolveReport:
+def _policy_iterate(dtmdp: DtmdpModel, exact, max_iters: int) -> SolveReport:
     """policy_iterate, evaluating each policy on `exact`: dtmdp itself or
     the continuous-time model it was reduced from."""
     rows = np.arange(dtmdp.n_states)
     weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
     unit, unit_action = _unit_actions(dtmdp)
-    vi = value_iterate(dtmdp, tol=tol, max_iters=min(WARM_SWEEPS, max_iters),
-                       cap=cap)
+    vi = value_iterate(dtmdp, max_iters=min(WARM_SWEEPS, max_iters))
     budget = max_iters - vi.iterations
     # states of value 1 keep to zero-cost steps: otherwise improvement can
     # stop at a larger fixed point, where a zero-cost cycle ties with the
@@ -621,16 +624,15 @@ def _policy_iterate(dtmdp: DtmdpModel, exact, tol: float, max_iters: int,
                        converged=certified)
 
 
-def policy_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
-                   max_iters: int = DEFAULT_MAX_ITERS,
-                   cap: float = DEFAULT_CAP) -> SolveReport:
+def policy_iterate(dtmdp: DtmdpModel,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> SolveReport:
     """Warm-started policy iteration (Howard and Matheson, Management
     Science 18(7), 1972) with exact policy evaluation.
 
-    WARM_SWEEPS sweeps of value_iterate give the first policy, its
-    lowest-index greedy one, except that states of value 1 take an action
-    that keeps them on zero-cost steps (see _unit_actions).  Each step
-    evaluates the policy with
+    WARM_SWEEPS sweeps of value_iterate, at its default tol and cap, give
+    the first policy, its lowest-index greedy one, except that states of
+    value 1 take an action that keeps them on zero-cost steps (see
+    _unit_actions).  Each step evaluates the policy with
     evaluate_policy_linear and switches a state to the lowest-index
     argmin of the one-step operator at that value, but only where it
     beats the current action by the factor 1 - IMPROVE_RTOL; an infinite
@@ -646,20 +648,18 @@ def policy_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     value-iteration iterate; undecided classes, also for want of budget,
     read infinite; either way converged=False.
     """
-    return _policy_iterate(dtmdp, dtmdp, tol, max_iters, cap)
+    return _policy_iterate(dtmdp, dtmdp, max_iters)
 
 
-def solve_ctmdp(model: CtmdpModel, tol: float = DEFAULT_TOL,
-                max_iters: int = DEFAULT_MAX_ITERS,
-                cap: float = DEFAULT_CAP):
-    """Reduce, solve by policy iteration, and attach the continuous-time
-    optimality residual.  Returns (report, reduced model).
+def solve_ctmdp(model: CtmdpModel, max_iters: int = DEFAULT_MAX_ITERS):
+    """Reduce, solve by policy iteration (policy_iterate), and attach the
+    continuous-time optimality residual.  Returns (report, reduced model).
 
     Each policy is evaluated on the continuous-time model, which keeps
     near-critical values exact (see _policy_system).
     """
     dtmdp = build_equivalent_dtmdp(model)
-    report = _policy_iterate(dtmdp, model, tol, max_iters, cap)
+    report = _policy_iterate(dtmdp, model, max_iters)
     residuals = optimality_residual(model, report.value)
     sup = max((abs(r) for r in residuals.values()), default=0.0)
     return replace(report, sup_residual=float(sup)), dtmdp

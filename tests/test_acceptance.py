@@ -46,7 +46,7 @@ def test_criterion_02_pure_birth(pure_birth, pure_birth_dtmdp):
     problems = []
     start = time.perf_counter()
     policy = only_policy(pure_birth)
-    report, _ = solve_ctmdp(pure_birth, tol=1e-12)
+    report, _ = solve_ctmdp(pure_birth)
     linear = evaluate_policy_linear(pure_birth_dtmdp, policy)
     iterative = evaluate_policy_iterative(pure_birth_dtmdp, policy, tol=1e-12)
     for label, got in [("value iteration", report.value[0]),
@@ -111,7 +111,7 @@ def test_criterion_05_optimality_residual(two_state, pure_birth,
     fixtures = [two_state, pure_birth,
                 gen_example("birth_death", {"levels": 4, "birth": 0.5,
                                             "death": 2.0, "cost": 0.5}, 0)]
-    cases = [(model, solve_ctmdp(model, tol=1e-12)[0]) for model in fixtures]
+    cases = [(model, solve_ctmdp(model)[0]) for model in fixtures]
     cases += [(item.model, item.report) for item in monotone_corpus]
     cases += [(item.model, item.report) for item in oracle_corpus]
     for model, report in cases:

@@ -176,13 +176,11 @@ def test_evaluate_near_critical_is_exact(tmp_path, capsys, c):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["solve", "{model}", "--cap", "nan"], "cap must exceed 1, got nan"),
-    (["solve", "{model}", "--tol", "nan"], "tol must be positive, got nan"),
     (["evaluate", "{model}", "--policy", "{policy}", "--tol", "nan"],
      "tol must be positive, got nan"),
     (["evaluate", "{model}", "--policy", "{policy}", "--cap", "nan"],
      "cap must exceed 1, got nan"),
-], ids=["solve-cap", "solve-tol", "evaluate-tol", "evaluate-cap"])
+], ids=["evaluate-tol", "evaluate-cap"])
 def test_nan_tol_and_cap_exit_1(tmp_path, capsys, argv, fragment):
     model_path = _gen_two_state(tmp_path)
     policy = tmp_path / "policy.json"
@@ -192,6 +190,16 @@ def test_nan_tol_and_cap_exit_1(tmp_path, capsys, argv, fragment):
     status, out, err = _run(capsys, *argv)
     assert status == 1 and out == ""
     assert err == f"error: {fragment}\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--cap", "2")])
+def test_solve_rejects_tol_and_cap(tmp_path, capsys, flag, value):
+    """solve is exact policy iteration: tol and cap reached only its warm
+    value-iteration sweeps and changed no answer, so it takes neither."""
+    model_path = _gen_two_state(tmp_path)
+    status, out, err = _run(capsys, "solve", str(model_path), flag, value)
+    assert status == 1 and out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_evaluate_requires_policy(tmp_path, capsys):
@@ -284,8 +292,9 @@ def test_defaults_come_from_the_solver():
     """Unset solver options parse to None, so the solver fills them in;
     --n and --seed have the CLI's own defaults."""
     parse = cli.build_parser().parse_args
-    args = parse(["solve", "m.json"])
+    args = parse(["evaluate", "m.json", "--policy", "p.json"])
     assert (args.tol, args.max_iters, args.cap) == (None, None, None)
+    assert parse(["solve", "m.json"]).max_iters is None
     args = parse(["simulate", "m.json", "--policy", "p.json", "--out",
                   "o.json"])
     assert (args.model, args.policy, args.out, args.n, args.seed) == (
@@ -419,7 +428,7 @@ def test_divergent_model_writes_no_warnings(tmp_path):
             ["gen", "--kind", "birth_death", "--params",
              '{"levels": 63, "birth": 3, "death": 1, "cost": 1}',
              "--out", str(model)],
-            ["solve", str(model), "--cap", "inf", "--out", str(solved)],
+            ["solve", str(model), "--out", str(solved)],
             ["evaluate", str(model), "--policy", str(solved), "--cap", "inf",
              "--out", str(tmp_path / "evaluate.json")],
             ["simulate", str(model), "--policy", str(solved), "--n", "100",

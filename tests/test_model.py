@@ -25,6 +25,21 @@ def test_validate_two_state_caches():
     assert model.admissible == ((0,), (0,))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("total_rates", np.full((2, 1), 99.0)),
+    ("max_total_rate", np.full(2, 99.0)),
+    ("max_cost_rate", np.full(2, 99.0))])
+def test_derived_arrays_are_not_constructor_arguments(name, value):
+    """The model derives these from rates and costs; a value passed in
+    would be silently overwritten, so passing one is an error."""
+    rates, costs = np.zeros((2, 1, 2)), np.zeros((2, 1))
+    rates[1, 0, 0] = 1.0
+    with pytest.raises(TypeError, match=name):
+        CtmdpModel(states=("absorb", "work"), actions=("a0",),
+                   admissible=None, rates=rates, costs=costs,
+                   **{name: value})
+
+
 def test_validate_idempotent():
     model = validate_model(TWO_STATE_RAW)
     again = validate_model(model)

@@ -153,7 +153,6 @@ class TestValueIterate:
         dtmdp = build_equivalent_dtmdp(model)
         policy = StationaryPolicy((0,) * model.n_states)
         for call in (lambda: value_iterate(dtmdp, **kwargs),
-                     lambda: solve_ctmdp(model, **kwargs),
                      lambda: evaluate_policy_iterative(dtmdp, policy,
                                                        **kwargs)):
             with pytest.raises(ValueError, match=message):
@@ -166,7 +165,7 @@ class TestValueIterate:
                                             "death": 1, "cost": 1}, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report, _ = solve_ctmdp(model, cap=math.inf)
+            report, _ = solve_ctmdp(model)
             values = evaluate_policy_iterative(
                 build_equivalent_dtmdp(model), report.policy, cap=math.inf)
         assert report.infinite_states
@@ -188,7 +187,7 @@ class TestExtractPolicy:
 
     def test_prefers_strictly_better_action(self):
         model = _two_action_two_state()
-        report, dtmdp = solve_ctmdp(model, tol=1e-12)
+        report, dtmdp = solve_ctmdp(model)
         work = model.state_index("work")
         assert report.value[work] == pytest.approx(TWO_STATE_VALUE, abs=1e-10)
         assert report.policy.choice[work] == model.action_index("a")
@@ -225,7 +224,7 @@ class TestExtractPolicy:
         for item in monotone_corpus:
             if item.n_actions < 2 or _min_action_gap(item) <= 100 * CORPUS_TOL:
                 continue
-            report_tight, _ = solve_ctmdp(item.model, tol=CORPUS_TOL / 10)
+            report_tight, _ = solve_ctmdp(item.model)
             assert report_tight.policy.choice == item.report.policy.choice
             checked += 1
             if checked >= 25:
@@ -396,7 +395,7 @@ class TestSupersolution:
                                        report.value)
 
     def test_any_positive_dip_fails_domination(self, two_state):
-        report, _ = solve_ctmdp(two_state, tol=1e-12)
+        report, _ = solve_ctmdp(two_state)
         for eps in [1e-9, 1e-3, 0.3]:
             dipped = report.value.values.copy()
             dipped[1] -= eps
