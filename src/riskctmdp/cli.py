@@ -50,8 +50,7 @@ def _load_policy(args, model):
 
 
 def _values_by_state(model, value) -> dict:
-    vals = value.to_json_values()
-    return {model.states[x]: vals[x] for x in range(model.n_states)}
+    return dict(zip(model.states, value.values.tolist()))
 
 
 def _solver_options(args) -> dict:
@@ -95,7 +94,7 @@ def _cmd_evaluate(args):
         "policy": policy.to_dict(model)["policy"],
         "linear": {
             "values": _values_by_state(model, linear),
-            "diagnostics": linear.diagnostics,
+            "diagnostics": {"method": "linear"},
         },
         "iterative": {"values": _values_by_state(model, iterative)},
         "max_abs_diff_finite": diff,
@@ -116,13 +115,9 @@ def _cmd_simulate(args):
         est = simulate.estimate_value_mc(model, policy, x, args.n,
                                          (args.seed + x) & ((1 << 64) - 1))
         estimates[name] = est.to_dict()
-        mean = est.mean.value
-        value = evaluated.values[x]
-        if np.isinf(mean) and np.isinf(value):
-            deviations[name] = 0.0
-        else:
-            dev = abs(mean - value)
-            deviations[name] = dev if np.isfinite(dev) else "inf"
+        mean, value = est.mean.value, evaluated[x]
+        deviations[name] = (0.0 if mean == value == np.inf
+                            else abs(mean - value))
     report = {
         "estimates": estimates,
         "evaluated_values": _values_by_state(model, evaluated),

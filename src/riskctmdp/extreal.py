@@ -48,18 +48,6 @@ class ExtReal:
     def __float__(self) -> float:
         return self.value
 
-    def to_json_value(self):
-        """A finite number, or the string "inf"."""
-        return self.value if self.is_finite else "inf"
-
-    @classmethod
-    def from_json_value(cls, raw) -> "ExtReal":
-        if raw == "inf":
-            return cls(INF)
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ExtRealDomainError(f"cannot parse {raw!r} as an extended real")
-        return cls(float(raw))
-
 
 INFINITY = ExtReal(INF)
 ZERO = ExtReal(0.0)

@@ -53,7 +53,8 @@ class IndexedModel:
     lists of unique strings; non-empty admissible sets in range, None
     admitting every action), the admissible mask, name lookups, the policy
     check, equality and the sparse entry order of their files.  Subclasses
-    list their array fields in _ARRAYS.
+    list their array fields in _ARRAYS; each is copied to a float array
+    here, so the subclass checks and freezes an array no caller holds.
     """
 
     states: tuple
@@ -88,6 +89,9 @@ class IndexedModel:
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "admissible", admissible)
         object.__setattr__(self, "admissible_mask", mask)
+        for name in self._ARRAYS:  # copies: the caller keeps its own arrays
+            object.__setattr__(self, name,
+                               np.array(getattr(self, name), dtype=float))
 
     @property
     def n_states(self) -> int:
@@ -235,9 +239,6 @@ class StationaryPolicy:
     """A fixed choice of one admissible action index per state."""
 
     choice: tuple
-
-    def action(self, x: int) -> int:
-        return self.choice[x]
 
     def to_dict(self, model: CtmdpModel) -> dict:
         return {"policy": {model.states[x]: model.actions[a]

@@ -95,7 +95,6 @@ def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel
     rest; None admits every action.
     """
     n, m = len(states), len(actions)
-    kernel = np.asarray(kernel, dtype=float)
     log_cost = np.asarray(log_cost, dtype=float)
     if log_cost.shape == (n, m):  # constant-in-successor costs
         log_cost = np.repeat(log_cost[:, :, None], n, axis=2)

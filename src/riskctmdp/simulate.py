@@ -104,7 +104,7 @@ class McEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "mean": self.mean.to_json_value(),
+            "mean": self.mean.value,
             "std_error": self.std_error,
             "n": self.n_trajectories,
             "truncated_fraction": float(self.truncated_fraction),

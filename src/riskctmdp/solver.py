@@ -17,7 +17,7 @@ M-matrix test) and switches states to strictly better actions, or, where
 none is better, decides the states left infinite by power steps
 (_eigen_step).  It stops at the value of an optimal stationary policy,
 which the paper shows exists.  value_iterate alone is plain value
-iteration, the route solve_ctmdp took before.
+iteration.
 
 Value iteration detects divergence to infinity by a cap heuristic: a
 state whose iterate exceeds the cap and keeps growing for a fixed number
@@ -66,10 +66,9 @@ class ValueFunction:
     """Per-state values in [1, inf]; NaN and values below 1 are rejected."""
 
     values: np.ndarray
-    diagnostics: dict = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # never the caller's array
         if np.any(np.isnan(vals)):
             raise ValueError("value function contains NaN")
         if np.any(vals < 1.0):
@@ -89,9 +88,6 @@ class ValueFunction:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    def to_json_values(self) -> list:
-        return [v if np.isfinite(v) else "inf" for v in self.values.tolist()]
-
     @classmethod
     def constant(cls, n: int, value: float = 1.0) -> "ValueFunction":
         return cls(np.full(n, value))
@@ -104,20 +100,23 @@ class SolveReport:
     sup_residual is the supremum over finite-value states of the solved
     model's optimality-equation residual: the relative fixed-point gap
     |Tv - v|/v for a bare discrete-time solve, or the continuous-time
-    residual when produced by solve_ctmdp.
+    residual when produced by solve_ctmdp.  infinite_states is read off
+    value.
     """
 
     value: ValueFunction
     policy: StationaryPolicy
     iterations: int
     sup_residual: float
-    infinite_states: frozenset
     converged: bool
 
+    @property
+    def infinite_states(self) -> frozenset:
+        return frozenset(np.flatnonzero(~self.value.finite_mask).tolist())
+
     def to_dict(self, states, actions) -> dict:
-        vals = self.value.to_json_values()
         return {
-            "values": {states[x]: vals[x] for x in range(len(states))},
+            "values": dict(zip(states, self.value.values.tolist())),
             "policy": {states[x]: actions[a]
                        for x, a in enumerate(self.policy.choice)},
             "iterations": self.iterations,
@@ -266,10 +265,7 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     resid = float(np.max(np.abs(final.values[finite] - vals[finite])
                          / vals[finite])) if finite.any() else 0.0
     return SolveReport(value=value, policy=policy, iterations=iterations,
-                       sup_residual=resid,
-                       infinite_states=frozenset(
-                           int(x) for x in np.flatnonzero(~value.finite_mask)),
-                       converged=converged)
+                       sup_residual=resid, converged=converged)
 
 
 def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
@@ -408,8 +404,7 @@ def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
     and certifies the result (_certified_solve).  Only if that
     certificate fails are the states split into strongly connected
     classes and certified one class at a time, sinks first; a class that
-    fails is infinite, and so is every state that reaches it.  The
-    diagnostics dict records the route, always "linear".
+    fails is infinite, and so is every state that reaches it.
 
     A failed certificate is reported as infinite, also where the value is
     finite but beyond what double precision can certify: the rounding
@@ -433,7 +428,7 @@ def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
             _solve_by_class(d, gross, inflow, vals, transient)
         else:
             vals[t] = np.maximum(x, 1.0)
-    return ValueFunction(vals, diagnostics={"method": "linear"})
+    return ValueFunction(vals)
 
 
 def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
@@ -619,8 +614,6 @@ def _policy_iterate(dtmdp: DtmdpModel, exact, max_iters: int) -> SolveReport:
     return SolveReport(value=ValueFunction(u),
                        policy=StationaryPolicy(tuple(choice.tolist())),
                        iterations=vi.iterations, sup_residual=resid,
-                       infinite_states=frozenset(
-                           np.flatnonzero(np.isinf(u)).tolist()),
                        converged=certified)
 
 

@@ -97,3 +97,43 @@ def optimal_value(model):
         best = value if best is None else [min(u, v)
                                            for u, v in zip(best, value)]
     return best
+
+
+def assert_optimal_actions(model, choice, rtol):
+    """Check the stationary policy `choice` action by action, with no
+    enumeration, and return its exact value V (policy_value).
+
+    At each finite state x and each admissible action a with no positive
+    rate into a state where V is infinite, the generator-form residual
+
+        r = c(x, a) V(x) + sum over y != x of rates(x, a, y) V(y)
+            - q(x, a) V(x)
+
+    is exact.  It is 0 for the policy's own action, and no other action
+    is better by more than rtol: r >= -rtol (w(x) - c(x, a)) V(x), w the
+    uniformization weight 1 + the largest cost rate + the largest total
+    rate over the admissible actions at x.  On the discrete-time model
+    that reads (W_a V)(x) >= (1 - rtol) V(x), the rule by which policy
+    iteration declines to switch an action.
+    """
+    value = policy_value(model, choice)
+    n = model.n_states
+    for x in range(n):
+        if value[x] == math.inf:
+            continue
+        rates = {a: [Fraction(float(r)) for r in model.rates[x, a]]
+                 for a in model.admissible[x]}
+        cost = {a: Fraction(float(model.costs[x, a]))
+                for a in model.admissible[x]}
+        w = 1 + max(cost.values()) + max(sum(row) for row in rates.values())
+        for a, row in rates.items():
+            if any(r > 0 and value[y] == math.inf for y, r in enumerate(row)):
+                continue
+            r = (cost[a] * value[x] - sum(row) * value[x]
+                 + sum(row[y] * value[y] for y in range(n) if row[y] > 0))
+            if a == choice[x]:
+                assert r == 0, (x, a, r)
+            else:
+                assert r >= -Fraction(rtol) * (w - cost[a]) * value[x], \
+                    (x, a, float(r / value[x]))
+    return value

@@ -93,17 +93,6 @@ def test_total_order():
     assert not INFINITY > INFINITY
 
 
-def test_json_round_trip():
-    assert INFINITY.to_json_value() == "inf"
-    assert ExtReal(2.5).to_json_value() == 2.5
-    assert ExtReal.from_json_value("inf") == INFINITY
-    assert ExtReal.from_json_value(1.25) == ExtReal(1.25)
-    with pytest.raises(ExtRealDomainError):
-        ExtReal.from_json_value("nope")
-    with pytest.raises(ExtRealDomainError):
-        ExtReal.from_json_value(True)
-
-
 _finite = st.floats(min_value=0.0, max_value=1e150, allow_nan=False)
 _extended = st.one_of(_finite, st.just(INF))
 

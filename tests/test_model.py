@@ -243,6 +243,19 @@ def test_models_are_immutable(two_state):
         two_state.states = ("x",)
 
 
+def test_model_holds_copies_of_the_callers_arrays():
+    """A change the caller makes to its arrays after the model is built
+    reaches neither the model nor its checks, and the caller's arrays stay
+    writable."""
+    rates, costs = np.zeros((2, 1, 2)), np.zeros((2, 1))
+    rates[1, 0, 0], costs[1, 0] = 4.0, 1.0
+    model = CtmdpModel(states=("absorb", "work"), actions=("a0",),
+                       admissible=None, rates=rates[:], costs=costs[:])
+    rates[1, 0, 0], costs[1, 0] = -3.0, -1.0
+    assert model.rates[1, 0, 0] == 4.0 and model.costs[1, 0] == 1.0
+    assert rates.flags.writeable and costs.flags.writeable
+
+
 @pytest.mark.parametrize("index", [1, -1], ids=["n_actions", "negative"])
 def test_admissible_index_out_of_range(index):
     """An index past the last action used to raise a bare IndexError, and

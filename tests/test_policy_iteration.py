@@ -133,7 +133,6 @@ def test_zero_cost_cycle_is_exactly_one():
     assert_matches_oracle(report, dtmdp)
     value = evaluate_policy_linear(dtmdp, only_policy(model))
     assert value.values.tolist() == [1.0, 1.0]
-    assert value.diagnostics == {"method": "linear"}
 
 
 def test_costly_cycle_is_infinite():
@@ -297,8 +296,7 @@ def test_linear_evaluation_never_iterates(monkeypatch):
         dtmdp = build_equivalent_dtmdp(model)
         policy = solve_ctmdp(model)[0].policy
         for form in (dtmdp, model):
-            assert evaluate_policy_linear(form, policy).diagnostics == {
-                "method": "linear"}
+            evaluate_policy_linear(form, policy)
 
 
 @pytest.mark.parametrize("max_iters, converged", [
@@ -448,6 +446,46 @@ def _assert_within_n_plus_1_eps(values, want):
             assert got == math.inf
         else:
             assert abs(Fraction(got) - exact_value) <= bound * exact_value
+
+
+def _assert_passes_the_per_action_check(model):
+    """Without enumerating policies: the reported policy's exact value
+    matches solve within (n + 1) eps, infinite set included, and no action
+    beats the reported one by more than policy iteration's switching
+    threshold (exact.assert_optimal_actions).  Returns the infinite set."""
+    report, _ = solve_ctmdp(model)
+    assert report.converged
+    want = exact.assert_optimal_actions(model, report.policy.choice,
+                                        solver.IMPROVE_RTOL)
+    assert report.infinite_states == {x for x, v in enumerate(want)
+                                      if v == math.inf}
+    _assert_within_n_plus_1_eps(report.value.values, want)
+    return report.infinite_states
+
+
+@pytest.mark.parametrize("params, seed", [
+    *(pytest.param({"n": 8, "m": 2}, seed, id=f"n=8-{seed}")
+      for seed in range(30)),
+    *(pytest.param({"n": 6, "m": 2, "cost_scale": 0.99}, seed,
+                   id=f"n=6-cost_scale=0.99-{seed}") for seed in range(40))])
+def test_solve_passes_the_exact_per_action_check(params, seed):
+    """Over 30 seeds of random n=8 m=2 the largest error measured was
+    4.94 eps, above the 4 eps of test_solve_matches_the_exact_optimum."""
+    _assert_passes_the_per_action_check(gen_example("random", params, seed))
+
+
+@pytest.mark.parametrize("kind, params, seed, infinite", [
+    pytest.param("birth_death",
+                 {"levels": 6, "birth": 3, "death": 1, "cost": 1}, 0, 6,
+                 id="birth_death-levels=6"),
+    # the first seeds of random n=6 m=2 cost_scale=0.99 with infinite states
+    *(pytest.param("random", {"n": 6, "m": 2, "cost_scale": 0.99}, seed, 4,
+                   id=f"random-n=6-cost_scale=0.99-{seed}")
+      for seed in (57, 85))])
+def test_divergent_models_pass_the_exact_per_action_check(kind, params, seed,
+                                                          infinite):
+    model = gen_example(kind, params, seed)
+    assert len(_assert_passes_the_per_action_check(model)) == infinite
 
 
 @pytest.mark.parametrize("model", [

@@ -217,6 +217,17 @@ def test_kernel_rules_hold_for_both_constructors(kernel, log_cost, message):
         assert str(err.value) == message
 
 
+def test_dtmdp_holds_copies_of_the_callers_arrays():
+    kernel = np.array(_GOOD_KERNEL)
+    log_cost = np.zeros((2, 1, 2))
+    dtmdp = DtmdpModel(states=("a", "b"), actions=("u",), admissible=None,
+                       kernel=kernel[:], log_cost=log_cost[:])
+    kernel[0, 0, 0], log_cost[0, 0, 1] = -1.0, -1.0
+    assert dtmdp.kernel[0, 0].tolist() == [0.5, 0.5]
+    assert dtmdp.log_cost[0, 0].tolist() == [0.0, 0.0]
+    assert kernel.flags.writeable and log_cost.flags.writeable
+
+
 def test_to_dict_log_cost_per_successor():
     """A log-cost row that varies by successor is written once per positive
     "to"; a constant row is one entry without "to"; zeros are left out."""

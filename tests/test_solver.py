@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -219,13 +220,14 @@ class TestExtractPolicy:
         assert math.isinf(report.value[0])
         assert report.policy.choice == (1,)
 
-    def test_argmin_invariant_under_tighter_tol(self, monotone_corpus):
+    def test_policy_iteration_picks_the_value_iteration_policy(
+            self, monotone_corpus):
         checked = 0
         for item in monotone_corpus:
             if item.n_actions < 2 or _min_action_gap(item) <= 100 * CORPUS_TOL:
                 continue
-            report_tight, _ = solve_ctmdp(item.model)
-            assert report_tight.policy.choice == item.report.policy.choice
+            report, _ = solve_ctmdp(item.model)
+            assert report.policy.choice == item.report.policy.choice
             checked += 1
             if checked >= 25:
                 break
@@ -259,7 +261,6 @@ class TestPolicyEvaluation:
         policy = only_policy(two_state)
         linear = evaluate_policy_linear(two_state_dtmdp, policy)
         assert linear.values[1] == pytest.approx(TWO_STATE_VALUE, abs=1e-12)
-        assert linear.diagnostics["method"] == "linear"
         iterative = evaluate_policy_iterative(two_state_dtmdp, policy,
                                               tol=1e-12)
         assert iterative.values[1] == pytest.approx(TWO_STATE_VALUE, abs=1e-10)
@@ -305,7 +306,6 @@ class TestPolicyEvaluation:
         policy = only_policy(model)
         linear = evaluate_policy_linear(dtmdp, policy)
         iterative = evaluate_policy_iterative(dtmdp, policy)
-        assert linear.diagnostics == {"method": "linear"}
         assert np.all(np.isinf(linear.values))
         assert np.array_equal(linear.finite_mask, iterative.finite_mask)
 
@@ -415,9 +415,54 @@ class TestValueFunction:
             ValueFunction(np.array([1.0, 0.5]))
         assert str(err.value) == "value 0.5 at state index 1 is below 1"
 
-    def test_json_values(self):
-        vf = ValueFunction(np.array([1.0, np.inf]))
-        assert vf.to_json_values() == [1.0, "inf"]
+    def test_holds_a_copy_of_the_callers_array(self):
+        base = np.ones(2)
+        vf = ValueFunction(base[:])
+        base[0] = 0.5
+        assert vf.values.tolist() == [1.0, 1.0]
+        assert base.flags.writeable
+
+
+def _self_loop_dtmdp():
+    """'a' absorbs at zero cost; 'b' loops on itself at factor e^400 per
+    step, so its iterates overflow to inf on the second sweep."""
+    kernel = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+    return make_dtmdp(["a", "b"], ["u"], kernel, np.array([[0.0], [400.0]]))
+
+
+class TestSolveReport:
+    def test_infinite_states_is_not_a_field(self):
+        assert "infinite_states" not in {
+            f.name for f in dataclasses.fields(solver.SolveReport)}
+        with pytest.raises(TypeError, match="infinite_states"):
+            solver.SolveReport(value=ValueFunction.constant(1),
+                               policy=StationaryPolicy((0,)), iterations=0,
+                               sup_residual=0.0, converged=True,
+                               infinite_states=frozenset())
+
+    @pytest.mark.parametrize("run", [
+        lambda: value_iterate(_self_loop_dtmdp()),
+        lambda: solver.policy_iterate(_self_loop_dtmdp()),
+        lambda: solver.policy_iterate(_self_loop_dtmdp(), max_iters=2),
+        lambda: solve_ctmdp(validate_model({
+            "states": ["a", "b"], "actions": ["a0"],
+            "rates": [{"from": "a", "action": "a0", "to": "b", "rate": 1.0}],
+            "costs": [{"state": "b", "action": "a0", "rate": 1.0}]}))[0]],
+        ids=["value_iterate", "policy_iterate", "out_of_budget",
+             "solve_ctmdp"])
+    def test_infinite_states_are_read_off_the_value(self, run):
+        report = run()
+        assert report.infinite_states
+        assert report.infinite_states == frozenset(
+            np.flatnonzero(np.isinf(report.value.values)).tolist())
+
+    def test_to_dict_holds_a_float_inf_that_dumps_writes_as_inf(self):
+        report = value_iterate(_self_loop_dtmdp())
+        out = report.to_dict(("a", "b"), ("u",))
+        assert out["values"] == {"a": 1.0, "b": math.inf}
+        assert type(out["values"]["b"]) is float
+        assert out["infinite_states"] == ["b"]
+        assert '"b": "inf"' in jsonio.dumps(out)
 
 
 # The fixed-point loop and the sweep as they were before the loop was made
