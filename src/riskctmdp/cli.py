@@ -55,7 +55,7 @@ def _values_by_state(model, value) -> dict:
 
 def _solver_options(args) -> dict:
     """The solver arguments that `args` has and sets; the solver the rest."""
-    options = {k: getattr(args, k, None) for k in ("tol", "max_iters", "cap")}
+    options = {k: getattr(args, k, None) for k in ("tol", "max_iters")}
     return {k: v for k, v in options.items() if v is not None}
 
 
@@ -183,12 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         if model:
             p.add_argument("model", help="model JSON file")
-        if sweeps:  # the iterative evaluator's stopping rule and cap
+        if sweeps:  # the iterative evaluator's stopping rule
             p.add_argument("--tol", type=float)
         if max_iters or sweeps:
             p.add_argument("--max-iters", type=int)
-        if sweeps:
-            p.add_argument("--cap", type=float)
         if policy:
             p.add_argument("--policy", help="policy JSON file")
         if mc:

@@ -19,13 +19,11 @@ none is better, decides the states left infinite by power steps
 which the paper shows exists.  value_iterate alone is plain value
 iteration.
 
-Value iteration detects divergence to infinity by a cap heuristic: a
-state whose iterate exceeds the cap and keeps growing for a fixed number
-of sweeps is classified infinite and pinned there.  solve_ctmdp does not
-classify by it.  That bookkeeping starts only once an iterate passes the
-cap or is infinite; before that no state can be pending or pinned, so a
-sweep just floors, checks monotonicity and measures the change, and the
-classification is the same as if it ran on every sweep.
+Value iteration shows states infinite by the test _eigen_step applies:
+a set on which the sweep of the iterate, zeroed off the set, still
+exceeds it beyond the rounding margin.  It runs on sweeps 1, 2, 4, ...;
+while every iterate is finite a sweep only floors, checks monotonicity
+and measures the change.
 
 The module also provides residual checks against the original
 continuous-time model, an iterative policy evaluator kept as an
@@ -45,8 +43,6 @@ from .reduction import DtmdpModel, build_equivalent_dtmdp
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
-DEFAULT_CAP = 1e12
-DIVERGENCE_SWEEPS = 10  # consecutive growing sweeps above cap before pinning
 WARM_SWEEPS = 20  # value-iteration sweeps before the first policy is taken
 IMPROVE_RTOL = 1e-12  # an action must beat the current one by this factor
 ORACLE_BUDGET = 10 ** 7
@@ -182,74 +178,79 @@ def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
                        f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
-def _iterate(sweep, n: int, tol: float, max_iters: int, cap: float):
-    """Shared fixed-point loop: monotone sweeps, cap classification, stopping.
+def _ratio_margin(n: int) -> float:
+    """How far past 1 a ratio T y / y over n states must be to prove growth."""
+    return 2 * (n + 1) * np.finfo(float).eps
+
+
+def _growing(operator, v: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """The largest set S of states finite in v on which operator(v on S,
+    0 off it) > (1 + margin) v, tv being operator(v).  S is infinite: with
+    h = v on S, T_S h > h there, so every policy's restricted matrix has
+    spectral radius above 1 (Collatz-Wielandt) and no finite V >= 1 has
+    V >= T_S V."""
+    bound = (1.0 + _ratio_margin(len(v))) * v
+    grow = np.isfinite(v) & (tv > bound)
+    size = np.count_nonzero(grow)
+    while size:
+        grow &= operator(np.where(grow, v, 0.0)) > bound
+        size, before = np.count_nonzero(grow), size
+        if size == before:
+            break
+    return grow
+
+
+def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
+    """Shared fixed-point loop: monotone sweeps, divergence, stopping.
 
     Returns (values, iterations, converged).  `sweep` maps the current
-    vector to the next raw vector (not yet floored or pinned).  While every
-    iterate is finite and at most the cap, no state is pending or pinned, so
-    a sweep only floors, checks monotonicity and measures the relative
-    change.  The cap and streak bookkeeping starts with the first iterate
-    above the cap (or infinite, or not a number) and runs on every sweep
-    after it.
+    vector to the next, not yet floored; `operator` is the same map, passed
+    apart so that the calls of `sweep` are the sweeps alone.  The loop
+    stops once the relative change of the states finite before the sweep
+    is under tol; until then, sweeps 1, 2, 4, 8, ... set the states that
+    _growing finds to inf, and another sweep follows.
     """
     if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
-    if not cap > 1.0:
-        raise ValueError(f"cap must exceed 1, got {cap}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    # the lean sweep needs every iterate finite as well as at most the cap;
-    # with cap = inf an overflowed iterate must still take the full path
-    lean_cap = min(cap, np.finfo(float).max)
-    # an iterate that overflows to inf is the divergence that the cap and
-    # streak bookkeeping classify, so numpy need not warn about it
+    # an iterate that overflows to inf is divergence: no warning
     with np.errstate(over="ignore"):
         v = np.ones(n)
-        streak = None  # consecutive growing sweeps above the cap, per state
-        converged = False
-        iterations = 0
+        lean = True  # no iterate infinite (or not a number) yet
         for iterations in range(1, max_iters + 1):
             tv = np.maximum(sweep(v), 1.0)
-            if streak is None and tv.max() <= lean_cap:
+            if lean and tv.max() < np.inf:
                 rel = (tv - v) / v  # v and tv finite: every state is active
                 if rel.min() < 0.0:
                     raise _non_monotone(v, tv)
-                change, pending = rel.max(), False
+                change = rel.max()
             else:
-                if streak is None:
-                    streak = np.zeros(n, dtype=int)
+                lean = False
                 tv[np.isinf(v)] = np.inf
                 if np.any(tv < v):
                     raise _non_monotone(v, tv)
-                finite = np.isfinite(tv)
-                streak = np.where(finite & (tv > cap) & (tv > v),
-                                  streak + 1, 0)
-                diverged = streak >= DIVERGENCE_SWEEPS
-                if diverged.any():
-                    tv[diverged] = np.inf
-                    streak[diverged] = 0
-                active = np.isfinite(tv) & (tv <= cap)
-                pending = (np.isfinite(tv) & (tv > cap)).any()  # unclassified
-                change = float(((tv[active] - v[active]) / v[active]).max()) \
-                    if active.any() else 0.0
+                finite = np.isfinite(v)
+                change = float(((tv[finite] - v[finite]) / v[finite]).max()) \
+                    if finite.any() else 0.0
+            if change >= tol and iterations & (iterations - 1) == 0:
+                infinite = _growing(operator, v, tv)
+                tv[infinite] = np.inf
+                lean = lean and not infinite.any()
             v = tv
-            if change < tol and not pending:
-                converged = True
-                break
-    return v, iterations, converged
+            if change < tol:
+                return v, iterations, True
+    return v, iterations, False
 
 
 def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
-                  max_iters: int = DEFAULT_MAX_ITERS,
-                  cap: float = DEFAULT_CAP) -> SolveReport:
-    """Iterate the one-step operator from the constant 1 until convergence.
-
-    Stops when the maximum relative change over states currently below the
-    cap falls under tol; states exceeding the cap and growing for
-    DIVERGENCE_SWEEPS consecutive sweeps are classified infinite and
-    excluded from the stopping test.  Exhausting max_iters yields a report
-    with converged=False rather than an exception.
+                  max_iters: int = DEFAULT_MAX_ITERS) -> SolveReport:
+    """Iterate the one-step operator from the constant 1 until the
+    relative change of the finite states is under tol.  A set of states on
+    which the sweep of the iterate, zeroed off the set, still exceeds it is
+    infinite (_iterate tests on sweeps 1, 2, 4, ...), and so is an iterate
+    that overflows; growth below tol per sweep stops as finite.  Exhausting
+    max_iters gives converged=False rather than an exception.
     """
     weights = dtmdp.step_weights
     adm = dtmdp.admissible_mask
@@ -258,7 +259,7 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
         return np.where(adm, _masked_apply(weights, v), np.inf).min(axis=1)
 
     vals, iterations, converged = _iterate(sweep, dtmdp.n_states, tol,
-                                           max_iters, cap)
+                                           max_iters, sweep)
     value = ValueFunction(vals)
     final, policy = bellman_apply(dtmdp, value)
     finite = value.finite_mask & final.finite_mask
@@ -270,11 +271,10 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
 
 def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
                               tol: float = DEFAULT_TOL,
-                              cap: float = DEFAULT_CAP,
                               max_iters: int = DEFAULT_MAX_ITERS) -> ValueFunction:
     """Fixed-policy value by iterating the one-step operator with the
-    action pinned to the policy; same stopping and divergence
-    classification as value_iterate."""
+    action pinned to the policy; same stopping and divergence test as
+    value_iterate."""
     choice = dtmdp.check_policy(policy)
     rows = np.arange(dtmdp.n_states)
     weights = dtmdp.step_weights[rows, choice, :]
@@ -282,7 +282,7 @@ def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
     def sweep(v):
         return _masked_apply(weights, v)
 
-    vals, _, _ = _iterate(sweep, dtmdp.n_states, tol, max_iters, cap)
+    vals, _, _ = _iterate(sweep, dtmdp.n_states, tol, max_iters, sweep)
     return ValueFunction(vals)
 
 
@@ -535,7 +535,7 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
     other stuck states (closed ones: c reaches no others), lazy power
     steps y <- y + T_c y, scaled to a largest entry of 1, run from the
     warm iterate z; T_c is the one-step operator on the columns of c.
-    Beyond the rounding margin of _certified_solve, a lowest ratio
+    Beyond the rounding margin (_ratio_margin), a lowest ratio
     T_c y / y above 1 shows c infinite, as no finite V >= 1 has
     V >= T_c V (Nesterov and Protasov, SIAM J. Matrix Anal. Appl. 34(3),
     2013), and the states below 1 whose greedy actions keep to them are
@@ -558,7 +558,7 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
             todo += [c[k] for k in reversed(classes)]
             continue
         y = z[c] if np.isfinite(z[c]).all() else np.ones(len(c))
-        margin = 2 * (len(c) + 1) * np.finfo(float).eps
+        margin = _ratio_margin(len(c))
         low, high, idle = 0.0, np.inf, 0
         while budget and idle < len(c) and low <= 1.0 + margin:
             budget -= 1
@@ -622,7 +622,7 @@ def policy_iterate(dtmdp: DtmdpModel,
     """Warm-started policy iteration (Howard and Matheson, Management
     Science 18(7), 1972) with exact policy evaluation.
 
-    WARM_SWEEPS sweeps of value_iterate, at its default tol and cap, give
+    At most WARM_SWEEPS sweeps of value_iterate, at its default tol, give
     the first policy, its lowest-index greedy one, except that states of
     value 1 take an action that keeps them on zero-cost steps (see
     _unit_actions).  Each step evaluates the policy with

@@ -1,5 +1,6 @@
 """Exact rational reference: the value of a stationary policy on a
-CtmdpModel, and the optimal value as the minimum over all of them.
+CtmdpModel, the optimal value as the minimum over all of them, and exact
+per-action checks of a solve's finite values and of its infinite set.
 
 Every rate and cost rate is a binary float, which fractions.Fraction holds
 exactly, so the fixed-policy equations
@@ -13,6 +14,8 @@ rounding.  Nothing here calls the package's solver or evaluators.
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def _reach(succ):
@@ -137,3 +140,69 @@ def assert_optimal_actions(model, choice, rtol):
                 assert r >= -Fraction(rtol) * (w - cost[a]) * value[x], \
                     (x, a, float(r / value[x]))
     return value
+
+
+def _uniformized(model):
+    """Float weights W(x, a, y) of a one-step operator on which
+    (W h)(x) > h(x) exactly where the generator-form residual of h is
+    positive: a DtmdpModel's step weights, or on a CtmdpModel
+    (rates + (w - q) I) / (w - c), w = 1 + the largest q + c."""
+    if not hasattr(model, "rates"):
+        return model.step_weights
+    q, c = model.total_rates, model.costs
+    w = 1.0 + float((q + c).max())
+    diagonal = np.eye(model.n_states)[:, None, :] * (w - q)[:, :, None]
+    return (model.rates + diagonal) / (w - c)[:, :, None]
+
+
+def assert_infinite_set(model, infinite, choice=None, target=1e-9,
+                        max_steps=2_000):
+    """Prove every policy's value infinite on the set `infinite`, with no
+    enumeration; with `choice`, an action index per state, the value of
+    that policy alone.
+
+    h is positive on S = infinite and 0 off it.  If at every x in S and
+    every admissible a (the chosen one, with `choice`)
+
+        r = c(x, a) h(x) + sum over y != x of rates(x, a, y) h(y)
+            - q(x, a) h(x) > 0
+
+    in exact arithmetic, then E[e^{integral of c} h(X_t)] grows at least
+    like e^{eps t} under every policy while h is bounded, so the value is
+    infinite on S.  On a DtmdpModel the condition reads
+    sum over y of W(x, a, y) h(y) > h(x), W the step weights.  h comes from
+    lazy float power steps y <- y + T_S y over S from ones, T_S the
+    one-step operator on S, until the lowest ratio T_S y / y passes
+    1 + target or max_steps run out (a ratio as close to 1 as
+    two_state q=1 c=1+1e-10's never passes it); the check itself is in
+    Fractions.  The empty set passes.
+    """
+    s = sorted(infinite)
+    if not s:
+        return
+    actions = [[choice[x]] if choice is not None else list(model.admissible[x])
+               for x in s]
+    allowed = np.zeros((len(s), model.n_actions), dtype=bool)
+    for i, acts in enumerate(actions):
+        allowed[i, acts] = True
+    block = _uniformized(model)[np.ix_(s, range(model.n_actions), s)]
+    y = np.ones(len(s))
+    for _ in range(max_steps):
+        ty = np.where(allowed, block @ y, np.inf).min(axis=1)
+        if (ty / y).min() > 1.0 + target:
+            break
+        y = y + ty
+        y = y / y.max()
+    assert (y > 0.0).all(), y
+    h = [Fraction(float(v)) for v in y]
+    for i, x in enumerate(s):
+        for a in actions[i]:
+            if hasattr(model, "rates"):
+                row = [Fraction(float(r)) for r in model.rates[x, a]]
+                r = (Fraction(float(model.costs[x, a])) * h[i] - sum(row) * h[i]
+                     + sum(row[z] * h[j] for j, z in enumerate(s) if z != x))
+            else:
+                row = model.step_weights[x, a]
+                r = sum(Fraction(float(row[z])) * h[j]
+                        for j, z in enumerate(s)) - h[i]
+            assert r > 0, (x, a, float(r / h[i]))

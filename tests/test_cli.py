@@ -178,9 +178,7 @@ def test_evaluate_near_critical_is_exact(tmp_path, capsys, c):
 @pytest.mark.parametrize("argv, fragment", [
     (["evaluate", "{model}", "--policy", "{policy}", "--tol", "nan"],
      "tol must be positive, got nan"),
-    (["evaluate", "{model}", "--policy", "{policy}", "--cap", "nan"],
-     "cap must exceed 1, got nan"),
-], ids=["evaluate-tol", "evaluate-cap"])
+], ids=["evaluate-tol"])
 def test_nan_tol_and_cap_exit_1(tmp_path, capsys, argv, fragment):
     model_path = _gen_two_state(tmp_path)
     policy = tmp_path / "policy.json"
@@ -200,6 +198,19 @@ def test_solve_rejects_tol_and_cap(tmp_path, capsys, flag, value):
     status, out, err = _run(capsys, "solve", str(model_path), flag, value)
     assert status == 1 and out == ""
     assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_evaluate_rejects_cap(tmp_path, capsys):
+    """The iterative evaluator proves states infinite by the ratio test;
+    the cap that its old heuristic took is gone."""
+    model_path = _gen_two_state(tmp_path)
+    policy = tmp_path / "policy.json"
+    policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
+                                               "work": "a0"}}))
+    status, out, err = _run(capsys, "evaluate", str(model_path), "--policy",
+                            str(policy), "--cap", "2")
+    assert status == 1 and out == ""
+    assert "unrecognized arguments: --cap 2" in err
 
 
 def test_evaluate_requires_policy(tmp_path, capsys):
@@ -273,15 +284,18 @@ def test_report_bytes_unchanged(capsys, args, report):
     loops in to_dict and optimality_residual, and the step weights rebuilt
     on each call.  random_adm is random n=8 m=3 with a restricted
     admissible map and some zero costs; infinite has a costly trap, a
-    state that reaches it under every action, a divergent pair found by
-    the cap heuristic, and a finite state with one action into the trap.
+    state that reaches it under every action, a divergent pair, and a
+    finite state with one action into the trap.
     near_critical is two_state q=1 c=0.999 and divergent is birth_death
     levels=63 birth=3 death=1 cost=1, with 63 states infinite.  The solve
     reports (*.solve-pi.json) were written when solve moved to policy
     iteration.  infinite.evaluate.json, random_adm.evaluate.json and
     birth_death.simulate.json were written when evaluate and simulate
     moved to the continuous-time (generator) form of the linear
-    evaluator; the others are older than those changes.
+    evaluator; the others are older than those changes.  When value
+    iteration's cap heuristic gave way to the ratio test, the iterative
+    value of infinite.evaluate.json moved by 3e-10, inside tol, and the
+    iterations of divergent.solve-pi.json fell from 20 to 3.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0
@@ -293,7 +307,7 @@ def test_defaults_come_from_the_solver():
     --n and --seed have the CLI's own defaults."""
     parse = cli.build_parser().parse_args
     args = parse(["evaluate", "m.json", "--policy", "p.json"])
-    assert (args.tol, args.max_iters, args.cap) == (None, None, None)
+    assert (args.tol, args.max_iters) == (None, None)
     assert parse(["solve", "m.json"]).max_iters is None
     args = parse(["simulate", "m.json", "--policy", "p.json", "--out",
                   "o.json"])
@@ -429,7 +443,7 @@ def test_divergent_model_writes_no_warnings(tmp_path):
              '{"levels": 63, "birth": 3, "death": 1, "cost": 1}',
              "--out", str(model)],
             ["solve", str(model), "--out", str(solved)],
-            ["evaluate", str(model), "--policy", str(solved), "--cap", "inf",
+            ["evaluate", str(model), "--policy", str(solved),
              "--out", str(tmp_path / "evaluate.json")],
             ["simulate", str(model), "--policy", str(solved), "--n", "100",
              "--out", str(tmp_path / "simulate.json")]):

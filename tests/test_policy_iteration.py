@@ -103,18 +103,39 @@ def _chain(levels, cost):
 
 
 def test_values_above_the_cap_are_finite(tmp_path, capsys):
-    """A 16-state chain at cost rate 0.9: V(s0) = 1e15 is above the default
-    cap of 1e12, which value iteration's heuristic takes for divergence."""
+    """A 16-state chain at cost rate 0.9: V(s0) = 1e15 is above the 1e12
+    that value iteration's old cap heuristic took for divergence, pinning
+    s0-s2.  The ratio test never pins a finite state."""
     model = _chain(15, 0.9)
     report, dtmdp = solve_ctmdp(model)
     assert report.converged and not report.infinite_states
     assert report.value[0] == pytest.approx(1e15, rel=1e-12)
     assert_matches_oracle(report, dtmdp)
-    path = tmp_path / "chain.json"
+    vi = value_iterate(dtmdp)
+    assert vi.converged
+    for values in (vi.value, evaluate_policy_iterative(dtmdp, report.policy)):
+        assert values.finite_mask.all()
+        assert values[0] == pytest.approx(1e15, rel=1e-8)
+    path, solved = tmp_path / "chain.json", tmp_path / "solve.json"
     path.write_text(jsonio.dumps(model.to_dict()))
-    assert cli.main(["solve", str(path)]) == 0
-    out = jsonio.loads(capsys.readouterr().out)
+    assert cli.main(["solve", str(path), "--out", str(solved)]) == 0
+    out = jsonio.loads(solved.read_text())
     assert out["infinite_states"] == [] and out["converged"] is True
+    assert cli.main(["evaluate", str(path), "--policy", str(solved)]) == 0
+    out = jsonio.loads(capsys.readouterr().out)
+    assert out["same_infinite_classification"] is True
+
+
+@pytest.mark.parametrize("c", [1.001, 1 + 1e-6, 1 + 1e-10])
+def test_value_iteration_shows_barely_divergent_states_infinite(c):
+    """two_state q=1 just above criticality: work's iterate grows by about
+    c - 1 a sweep, which the old cap took 41 464 sweeps to pin at
+    c = 1.001 and never pinned at 1 + 1e-6 or 1 + 1e-10, ending finite
+    with converged false after all 100 000 sweeps."""
+    model = gen_example("two_state", {"q": 1, "c": c}, 0)
+    report = value_iterate(build_equivalent_dtmdp(model))
+    assert report.converged and report.iterations <= 4
+    assert report.infinite_states == {model.state_index("work")}
 
 
 def _cycle(cost):
@@ -450,17 +471,33 @@ def _assert_within_n_plus_1_eps(values, want):
 
 def _assert_passes_the_per_action_check(model):
     """Without enumerating policies: the reported policy's exact value
-    matches solve within (n + 1) eps, infinite set included, and no action
+    matches solve within (n + 1) eps, infinite set included, no action
     beats the reported one by more than policy iteration's switching
-    threshold (exact.assert_optimal_actions).  Returns the infinite set."""
-    report, _ = solve_ctmdp(model)
+    threshold (exact.assert_optimal_actions), and the infinite set passes
+    the exact check, as do value iteration's and the iterative
+    evaluator's, which are the same.  Returns the infinite set."""
+    report, dtmdp = solve_ctmdp(model)
     assert report.converged
     want = exact.assert_optimal_actions(model, report.policy.choice,
                                         solver.IMPROVE_RTOL)
     assert report.infinite_states == {x for x, v in enumerate(want)
                                       if v == math.inf}
     _assert_within_n_plus_1_eps(report.value.values, want)
+    _assert_every_route_proves_infinite(model, report, dtmdp)
     return report.infinite_states
+
+
+def _assert_every_route_proves_infinite(model, report, dtmdp):
+    """value_iterate and evaluate_policy_iterative find solve's infinite
+    set, and it passes exact.assert_infinite_set, for every policy and for
+    the reported one."""
+    vi = value_iterate(dtmdp)
+    assert vi.converged and vi.infinite_states == report.infinite_states
+    values = evaluate_policy_iterative(dtmdp, report.policy)
+    assert np.array_equal(values.finite_mask, report.value.finite_mask)
+    exact.assert_infinite_set(model, report.infinite_states)
+    exact.assert_infinite_set(model, report.infinite_states,
+                              choice=report.policy.choice)
 
 
 @pytest.mark.parametrize("params, seed", [
@@ -488,6 +525,28 @@ def test_divergent_models_pass_the_exact_per_action_check(kind, params, seed,
     assert len(_assert_passes_the_per_action_check(model)) == infinite
 
 
+def _golden_model(name):
+    return validate_model(jsonio.loads(
+        (GOLDEN / f"{name}.model.json").read_text()))
+
+
+@pytest.mark.parametrize("model", [
+    *(pytest.param(gen_example("birth_death", {"levels": levels, "birth": 3,
+                                               "death": 1, "cost": 1}, 0),
+                   id=f"birth_death-levels={levels}") for levels in (6, 63)),
+    *(pytest.param(_golden_model(name), id=name)
+      for name in ("divergent", "infinite")),
+    *(pytest.param(gen_example("two_state", {"q": 1, "c": c}, 0),
+                   id=f"two_state-c={c!r}") for c in (1.001, 1 + 1e-6,
+                                                      1 + 1e-10))])
+def test_infinite_sets_pass_the_exact_check(model):
+    """Divergent models too large or too close to criticality for
+    exact.optimal_value's enumeration or assert_optimal_actions."""
+    report, dtmdp = solve_ctmdp(model)
+    assert report.converged and report.infinite_states
+    _assert_every_route_proves_infinite(model, report, dtmdp)
+
+
 @pytest.mark.parametrize("model", [
     *(pytest.param(gen_example("two_state", {"q": 1, "c": 1 - 10.0 ** -k},
                                0), id=f"two_state-c=1-1e-{k}")
@@ -496,7 +555,7 @@ def test_divergent_models_pass_the_exact_per_action_check(kind, params, seed,
 ])
 def test_near_critical_values_match_the_exact_ones(model):
     """Solve and the continuous-time linear evaluator against exact
-    rational values, near criticality and far above the cap.  Measured
+    rational values, near criticality and far above 1e12.  Measured
     errors were at most 0.35 eps on two_state and 0.73 eps on the chain."""
     want = exact.optimal_value(model)
     report, _ = solve_ctmdp(model)

@@ -10,11 +10,12 @@ from riskctmdp import jsonio, solver
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
 from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
-from riskctmdp.solver import (DIVERGENCE_SWEEPS, SolverError, ValueFunction,
-                              bellman_apply,
+from riskctmdp.solver import (SolverError, ValueFunction, bellman_apply,
                               check_supersolution, evaluate_policy_iterative,
                               evaluate_policy_linear, extract_policy,
-                              optimality_residual, solve_ctmdp, value_iterate)
+                              optimality_residual, policy_iterate,
+                              solve_ctmdp, value_iterate)
+import exact
 from conftest import only_policy
 
 TWO_STATE_VALUE = 4.0 / 3.0  # holding-time transform of Exp(4) at cost rate 1
@@ -137,18 +138,16 @@ class TestValueIterate:
         assert report.iterations == 3
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": 0.0}, {"tol": -1e-3}, {"cap": 1.0}, {"max_iters": 0}])
+        {"tol": 0.0}, {"tol": -1e-3}, {"max_iters": 0}])
     def test_parameter_validation(self, two_state_dtmdp, kwargs):
         with pytest.raises(ValueError):
             value_iterate(two_state_dtmdp, **kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"tol": math.nan}, "tol must be positive, got nan"),
-        ({"cap": math.nan}, "cap must exceed 1, got nan")])
+        ({"tol": math.nan}, "tol must be positive, got nan")])
     def test_nan_parameters_are_rejected(self, kwargs, message):
-        """NaN fails every comparison, so `tol <= 0` and `cap <= 1` let it
-        through: a NaN cap classified nothing and a NaN tol never
-        stopped."""
+        """NaN fails every comparison, so `tol <= 0` lets it through: a
+        NaN tol never stopped."""
         model = gen_example("birth_death", {"levels": 5, "birth": 3,
                                             "death": 1, "cost": 1}, 0)
         dtmdp = build_equivalent_dtmdp(model)
@@ -160,17 +159,21 @@ class TestValueIterate:
                 call()
 
     def test_overflow_to_infinity_warns_nothing(self):
-        """Value iteration finds a divergent state by its iterate
-        overflowing to inf; numpy must not report that as a warning."""
+        """Value iteration finds a divergent state by the ratio test or by
+        its iterate overflowing to inf; numpy must not report either as a
+        warning."""
         model = gen_example("birth_death", {"levels": 63, "birth": 3,
                                             "death": 1, "cost": 1}, 0)
+        pair = _overflowing_pair()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, _ = solve_ctmdp(model)
             values = evaluate_policy_iterative(
-                build_equivalent_dtmdp(model), report.policy, cap=math.inf)
+                build_equivalent_dtmdp(model), report.policy)
+            overflowed = evaluate_policy_iterative(pair, only_policy(pair))
         assert report.infinite_states
         assert not values.finite_mask.all()
+        assert not overflowed.finite_mask.any()
 
     def test_monotone_sweeps_explicit(self, monotone_corpus):
         for item in monotone_corpus[:20]:
@@ -425,7 +428,7 @@ class TestValueFunction:
 
 def _self_loop_dtmdp():
     """'a' absorbs at zero cost; 'b' loops on itself at factor e^400 per
-    step, so its iterates overflow to inf on the second sweep."""
+    step, so its iterates would overflow to inf on the second sweep."""
     kernel = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     return make_dtmdp(["a", "b"], ["u"], kernel, np.array([[0.0], [400.0]]))
 
@@ -465,10 +468,11 @@ class TestSolveReport:
         assert '"b": "inf"' in jsonio.dumps(out)
 
 
-# The fixed-point loop and the sweep as they were before the loop was made
-# lean: every sweep ran the cap, streak and pin bookkeeping, and the
-# value-iteration sweep computed the argmin and dropped it.  The lean loop
-# must reproduce them bit for bit.
+# The fixed-point loop and the sweep as plain as they can be: every sweep
+# floors, checks monotonicity, measures the change and stops on it, and the
+# value-iteration sweep computes the argmin and drops it.  Where no state
+# is infinite the loop must reproduce them bit for bit: its divergence
+# test then finds nothing and changes nothing.
 
 def _reference_masked_apply(weights, v):
     inf_mask = np.isinf(v)
@@ -490,34 +494,20 @@ def _reference_argmin_admissible(vals, adm_mask):
     return best, np.argmax(attains, axis=1)
 
 
-def _reference_iterate(sweep, n, tol, max_iters, cap):
+def _reference_iterate(sweep, n, tol, max_iters):
     v = np.ones(n)
-    streak = np.zeros(n, dtype=int)
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         tv = np.maximum(sweep(v), 1.0)
-        tv[np.isinf(v)] = np.inf
         if np.any(tv < v):
             x = int(np.argwhere(tv < v)[0][0])
             raise SolverError(
                 f"monotonicity violated at state index {x}: "
                 f"{float(v[x])!r} -> {float(tv[x])!r}")
-        finite = np.isfinite(tv)
-        streak = np.where(finite & (tv > cap) & (tv > v), streak + 1, 0)
-        diverged = streak >= DIVERGENCE_SWEEPS
-        if diverged.any():
-            tv[diverged] = np.inf
-            streak[diverged] = 0
-        active = np.isfinite(tv) & (tv <= cap)
-        pending = np.isfinite(tv) & (tv > cap)
-        change = float(((tv[active] - v[active]) / v[active]).max()) \
-            if active.any() else 0.0
+        change = float(((tv - v) / v).max())
         v = tv
-        if change < tol and not pending.any():
-            converged = True
-            break
-    return v, iterations, converged
+        if change < tol:
+            return v, iterations, True
+    return v, iterations, False
 
 
 def _recorded_loop(monkeypatch, run, *args, **kwargs):
@@ -536,22 +526,21 @@ def _recorded_loop(monkeypatch, run, *args, **kwargs):
     return loop
 
 
-def _priced_chain():
-    """c -> b -> a at prices 2 and 100: values 200, 100 and 1, reached in
-    two sweeps, so a cap of 50 leaves b and c pending for good."""
-    kernel = np.array([[[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]],
-                       [[0.0, 1.0, 0.0]]])
-    log_cost = np.array([[0.0], [math.log(100.0)], [math.log(2.0)]])
-    return make_dtmdp(["a", "b", "c"], ["u"], kernel, log_cost)
-
-
 def _lagging_pair():
-    """y loops at price 3 and x moves to y at price 1000: x passes the cap
-    and is pinned while y is still finite, so x's own sweep stays finite
-    until y is pinned too."""
+    """y loops at price 3 and x moves to y at price 1000: x grows only
+    through y, so x is shown infinite only together with y."""
     kernel = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
     log_cost = np.array([[math.log(3.0)], [math.log(1000.0)]])
     return make_dtmdp(["y", "x"], ["u"], kernel, log_cost)
+
+
+def _overflowing_pair():
+    """x and y alternate, the step from x weighing 1e200: neither grows on
+    the sweeps that y and x grow on, so no set passes the ratio test, and
+    the iterate of x overflows to inf on the third sweep."""
+    kernel = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
+    log_cost = np.array([[math.log(1e200)], [0.0]])
+    return make_dtmdp(["x", "y"], ["u"], kernel, log_cost)
 
 
 def _two_state(c):
@@ -572,69 +561,89 @@ LOOP_CASES = [
     pytest.param(_divergent, {}, id="birth_death63-pinned"),
     pytest.param(lambda: build_equivalent_dtmdp(_stuck_model()), {},
                  id="self-loop-pinned"),
-    pytest.param(lambda: build_equivalent_dtmdp(_stuck_model()),
-                 {"cap": math.inf}, id="self-loop-pinned-cap-inf"),
-    pytest.param(_divergent, {"cap": math.inf},
-                 id="birth_death63-pinned-cap-inf"),
     pytest.param(_lagging_pair, {}, id="pinned-ahead-of-successor"),
-    pytest.param(_priced_chain, {"cap": 50.0, "max_iters": 30},
-                 id="pending-above-cap"),
     pytest.param(lambda: _two_state(0.999), {"max_iters": 3},
                  id="max_iters-3"),
 ]
 
 
-def _reference_loop(sweep, n, tol=solver.DEFAULT_TOL,
-                    max_iters=solver.DEFAULT_MAX_ITERS, cap=solver.DEFAULT_CAP):
-    return _reference_iterate(sweep, n, tol, max_iters, cap)
+def _check_loop(loop, dtmdp, sweep, tol=solver.DEFAULT_TOL,
+                max_iters=solver.DEFAULT_MAX_ITERS):
+    """A loop on a finite case is the plain loop's over `sweep`, bit for
+    bit.  The plain loop does not stop on a divergent case; there the loop
+    must converge to policy iteration's infinite set, which the exact
+    check proves, and to its values elsewhere."""
+    values, iterations, converged = loop
+    solved = policy_iterate(dtmdp)
+    if not solved.infinite_states:
+        want = _reference_iterate(sweep, dtmdp.n_states, tol, max_iters)
+        assert values.tobytes() == want[0].tobytes()
+        assert (iterations, converged) == want[1:]
+        return
+    assert converged
+    assert np.array_equal(np.isinf(values), ~solved.value.finite_mask)
+    exact.assert_infinite_set(dtmdp, solved.infinite_states)
+    finite = np.isfinite(values)
+    np.testing.assert_allclose(values[finite], solved.value.values[finite],
+                               rtol=10 * solver.DEFAULT_TOL)
+
+
+def _sweeps(dtmdp, policy=None):
+    """The plain value-iteration sweep, or the sweep of a fixed policy."""
+    if policy is None:
+        weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
+        return lambda v: _reference_argmin_admissible(
+            _reference_masked_apply(weights, v), adm)[0]
+    rows = np.arange(dtmdp.n_states)
+    weights = dtmdp.step_weights[rows, np.asarray(policy.choice), :]
+    return lambda v: _reference_masked_apply(weights, v)
 
 
 class TestLeanLoopMatchesReference:
     @pytest.mark.parametrize("build, kwargs", LOOP_CASES)
     def test_value_iterate(self, build, kwargs):
         dtmdp = build()
-        weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
-        values, iterations, converged = _reference_loop(
-            lambda v: _reference_argmin_admissible(
-                _reference_masked_apply(weights, v), adm)[0],
-            dtmdp.n_states, **kwargs)
         report = value_iterate(dtmdp, **kwargs)
-        assert report.value.values.tobytes() == values.tobytes()
-        assert (report.iterations, report.converged) == (iterations,
-                                                         converged)
+        _check_loop((report.value.values, report.iterations,
+                     report.converged), dtmdp, _sweeps(dtmdp), **kwargs)
+
+    def test_monotone_corpus(self, monotone_corpus):
+        """Its reports come from value_iterate at tol 1e-12; seed 10 136
+        has seven infinite states."""
+        for item in monotone_corpus:
+            report = item.report
+            _check_loop((report.value.values, report.iterations,
+                         report.converged), item.dtmdp, _sweeps(item.dtmdp),
+                        tol=CORPUS_TOL)
 
     def test_corpus_exercises_every_branch(self):
-        report = value_iterate(_priced_chain(), cap=50.0, max_iters=30)
-        assert not report.converged and report.iterations == 30
-        assert report.value.values == pytest.approx([1.0, 100.0, 200.0])
+        report = value_iterate(_two_state(0.999), max_iters=3)
+        assert not report.converged and report.iterations == 3
         report = value_iterate(_divergent())
         assert report.converged and len(report.infinite_states) == 63
         report = value_iterate(_lagging_pair())
+        assert report.converged and report.infinite_states == {0, 1}
+        report = value_iterate(_overflowing_pair())
         assert report.converged and report.infinite_states == {0, 1}
 
     @pytest.mark.parametrize("build, kwargs", [
         case for case in LOOP_CASES if case.id in (
             "random64x8-1", "birth_death63-pinned",
-            "birth_death63-pinned-cap-inf", "pinned-ahead-of-successor",
-            "pending-above-cap", "max_iters-3")])
+            "pinned-ahead-of-successor", "max_iters-3")])
     def test_evaluate_policy_iterative(self, monkeypatch, build, kwargs):
         dtmdp = build()
         policy = value_iterate(dtmdp).policy
-        rows = np.arange(dtmdp.n_states)
-        weights = dtmdp.step_weights[rows, np.asarray(policy.choice), :]
-        values, iterations, converged = _reference_loop(
-            lambda v: _reference_masked_apply(weights, v), dtmdp.n_states,
-            **kwargs)
-        lean = _recorded_loop(monkeypatch, evaluate_policy_iterative, dtmdp,
+        loop = _recorded_loop(monkeypatch, evaluate_policy_iterative, dtmdp,
                               policy, **kwargs)
-        assert lean[0].tobytes() == values.tobytes()
-        assert lean[1:] == (iterations, converged)
+        _check_loop(loop, dtmdp, _sweeps(dtmdp, policy), **kwargs)
 
-    @pytest.mark.parametrize("cap", [1e12, 4.0], ids=["below-cap",
-                                                      "above-cap"])
-    def test_non_monotone_sweep_fails_alike(self, cap):
-        """State 0 doubles (past a cap of 4 on the third sweep); state 1
-        grows by one and dips on the sixth sweep."""
+    @pytest.mark.parametrize("operator", [
+        lambda v: np.zeros(2), lambda v: np.array([2.0 * v[0], v[1]])],
+        ids=["nothing-pinned", "after-a-pin"])
+    def test_non_monotone_sweep_fails_alike(self, operator):
+        """State 0 doubles; state 1 grows by one and dips on the sixth
+        sweep.  Under the second operator the divergence test sets state 0
+        to inf on the first sweep, where the plain loop keeps doubling it."""
         def dipping():
             calls = [0]
 
@@ -645,10 +654,13 @@ class TestLeanLoopMatchesReference:
             return sweep, calls
 
         errors = []
-        for iterate in (solver._iterate, _reference_iterate):
+        for iterate in (lambda sweep: solver._iterate(sweep, 2, 1e-10, 100,
+                                                      operator),
+                        lambda sweep: _reference_iterate(sweep, 2, 1e-10,
+                                                         100)):
             sweep, calls = dipping()
             with pytest.raises(SolverError) as err:
-                iterate(sweep, 2, 1e-10, 100, cap)
+                iterate(sweep)
             errors.append((str(err.value), calls[0]))
         assert errors[0] == errors[1]
         assert errors[0][0] == ("monotonicity violated at state index 1: "
