@@ -138,7 +138,7 @@ class TestValueIterate:
         assert report.iterations == 3
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": 0.0}, {"tol": -1e-3}, {"max_iters": 0}])
+        {"tol": 0.0}, {"tol": -1e-3}, {"max_iters": -1}, {"max_iters": 0}])
     def test_parameter_validation(self, two_state_dtmdp, kwargs):
         with pytest.raises(ValueError):
             value_iterate(two_state_dtmdp, **kwargs)
