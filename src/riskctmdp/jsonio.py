@@ -1,33 +1,51 @@
 """Canonical JSON emission for reports and model files.
 
-Floats are rendered with 17 significant digits (lossless for doubles) and
-infinities as the string "inf", so rerunning a command yields byte-identical
-documents and round-trips recover the exact values.
-
 The bytes are those of the recursion `_emit`: two-space indent, one item
-per line, `json.dumps` for strings and keys, `format_float` for floats; a
-NaN raises ValueError and a non-string key TypeError.  Model files and
-reports hold large entry tables (one row per nonzero rate, cost, kernel or
-log-cost entry), so `dumps` writes those in whole-column passes: one set
-of the row types and one of the rows' key tuples decide the shape, each
-distinct name is encoded once, and the floats of a column are formatted
-in one map, numpy picking out the few texts that need ".0" or quotes.  An
-entry table is a list of at least two dicts with the same non-empty keys
-in the same order whose values are all exact `str` or exact `float`, each
-column of one kind.  Every other list (mixed key sets, ints, bools, None,
-nested values, numpy scalars) goes through `_emit` item by item; the
-bytes are the same either way.
+per line, `json.dumps` for strings and keys, floats with 17 significant
+digits (lossless for doubles) and infinities as the string "inf"
+(`format_float`), so rerunning a command yields byte-identical documents
+and round-trips recover the exact values; a NaN raises ValueError and a
+non-string key TypeError.  Entry tables (one row per nonzero rate, cost,
+kernel or log-cost entry) come from the models as a `Table` of index
+arrays and a float array, which `dumps` writes by columns: each name's
+text is made once and gathered by index, and a column's floats are
+formatted in one pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import repeat
 from json.encoder import encode_basestring_ascii  # json.dumps's str bytes
-from operator import itemgetter
 
 import numpy as np
+
+
+class Table:
+    """An entry table by columns: one row per true entry of the mask
+    `where`, in C order, read as a sequence of row dicts.  `axes` maps the
+    key of each coordinate, in row order, to the names along its axis;
+    `key` names the column of `values` at the entries.  With two or more
+    coordinates, the rows where the mask `has` is False leave out the last.
+    """
+
+    def __init__(self, where, axes: dict, key: str, values, has=None):
+        self.index = np.nonzero(where)
+        self.axes = axes
+        self.key = key
+        self.values = values[self.index]
+        self.has = None if has is None else has[self.index]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i: int) -> dict:
+        row = {k: names[ix[i]] for (k, names), ix in zip(self.axes.items(),
+                                                         self.index)}
+        if self.has is not None and not self.has[i]:
+            row.popitem()
+        row[self.key] = float(self.values[i])
+        return row
 
 
 def format_float(x: float) -> str:
@@ -42,62 +60,46 @@ def format_float(x: float) -> str:
     return text
 
 
-def _float_column(col: list) -> list:
-    """format_float of every value of a column of exact floats."""
-    texts = list(map(float.__format__, col, repeat(".17g")))
+def _float_column(x: np.ndarray) -> list:
+    """format_float of every value of a float array."""
+    texts = (("%.17g\n" * len(x)) % tuple(x.tolist())).split("\n")[:-1]
     # the texts with no "." or "e": integral values below 1e17 (".17g"
     # writes 1e17 and above with an exponent), infinities and NaN
-    x = np.fromiter(col, float, len(col))
     fix = ((x == np.trunc(x)) & (np.abs(x) < 1e17)) | ~np.isfinite(x)
     for i in np.flatnonzero(fix).tolist():
-        texts[i] = format_float(col[i])
+        texts[i] = format_float(float(x[i]))
     return texts
 
 
-def _str_column(col: list, prefix: str) -> list:
-    """prefix plus json.dumps of every value of a column of exact strs."""
-    encoded = {s: prefix + encode_basestring_ascii(s) for s in set(col)}
-    return list(map(encoded.__getitem__, col))
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"JSON object keys must be strings, got {k!r}")
+    return encode_basestring_ascii(k) + ": "
 
 
-def _emit_table(rows, indent: int, pieces: list) -> bool:
-    """Emit rows as an entry table, in the bytes of _emit; returns False,
-    having emitted nothing, when rows is not an entry table."""
-    if len(rows) < 2 or set(map(type, rows)) != {dict}:
-        return False
-    shapes = set(map(tuple, rows))  # the keys of each row, in order
-    keys = shapes.pop()
-    if shapes or not keys or any(type(k) is not str for k in keys):
-        return False
-    # each row is, per column, the literal that leads to the value and the
-    # value's text, then `end`; a str column carries its literal in each
-    # text, made once per distinct value, a float column has its own slot
+def _emit_table(table: Table, indent: int, pieces: list) -> None:
+    # a row is, per coordinate, its key's literal and its name's text, made
+    # once per name, then the literal and text of its value, then `end`
     pad = "  " * (indent + 1)
-    names = [encode_basestring_ascii(k) + ": " for k in keys]
-    lits = ([f"{pad}{{\n{pad}  {names[0]}"]
-            + [f",\n{pad}  {name}" for name in names[1:]])
-    end = f"\n{pad}}}"
-    n = len(rows)
-    slots = []
-    for lit, key in zip(lits, keys):
-        col = list(map(itemgetter(key), rows))
-        kinds = set(map(type, col))
-        if kinds == {str}:
-            slots.append(_str_column(col, lit))
-        elif kinds == {float}:
-            slots += [[lit] * n, _float_column(col)]
-        else:
-            return False
+    lits = [f",\n{pad}  {_key(k)}" for k in (*table.axes, table.key)]
+    lits[0] = pad + "{" + lits[0][1:]  # a row opens where the rest have ","
+    slots = [np.array([lit + encode_basestring_ascii(s) for s in names],
+                      dtype=object)[ix]
+             for lit, names, ix in zip(lits, table.axes.values(), table.index)]
+    if table.has is not None:
+        slots[-1][~table.has] = ""
+    slots = [slot.tolist() for slot in slots] + [[lits[-1]] * len(table),
+                                                 _float_column(table.values)]
     # the rows, joined by ",\n", interleaved into one flat list of pieces
+    end = f"\n{pad}}}"
     width = len(slots) + 1
-    flat = [end + ",\n"] * (n * width)
+    flat = [end + ",\n"] * (len(table) * width)
     for j, slot in enumerate(slots):
         flat[j::width] = slot
     flat[-1] = end
     pieces.append("[\n")
     pieces += flat
     pieces.append("\n" + "  " * indent + "]")
-    return True
 
 
 def _emit(obj, indent: int, pieces: list) -> None:
@@ -108,18 +110,16 @@ def _emit(obj, indent: int, pieces: list) -> None:
             return
         pieces.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            pieces.append(f"{pad}  {encode_basestring_ascii(k)}: ")
+            pieces.append(f"{pad}  {_key(k)}")
             _emit(v, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, Table)):
         if not obj:
             pieces.append("[]")
             return
-        if _emit_table(obj, indent, pieces):
-            return
+        if isinstance(obj, Table):
+            return _emit_table(obj, indent, pieces)
         pieces.append("[\n")
         for i, v in enumerate(obj):
             pieces.append(pad + "  ")

@@ -18,6 +18,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .jsonio import Table
+
 GENERATOR_KINDS = ("two_state", "pure_birth", "birth_death", "random")
 
 
@@ -52,7 +54,7 @@ class IndexedModel:
     discrete-time equivalent share this base: the name rules (non-empty
     lists of unique strings; non-empty admissible sets in range, None
     admitting every action), the admissible mask, name lookups, the policy
-    check, equality and the sparse entry order of their files.  Subclasses
+    check, equality and the name fields of their files.  Subclasses
     list their array fields in _ARRAYS; each is copied to a float array
     here, so the subclass checks and freezes an array no caller holds.
     """
@@ -129,19 +131,6 @@ class IndexedModel:
                     f"policy action '{self.actions[a]}' is not admissible at "
                     f"state '{self.states[x]}'")
         return np.asarray(policy.choice, dtype=int)
-
-    def _sparse(self, where: np.ndarray) -> tuple:
-        """Indices and names of the true entries of an (n_states, n_actions)
-        or (n_states, n_actions, n_states) mask, in C order (state, action,
-        successor), which is the entry order of the file formats.
-
-        Returns (index arrays, one list of names per axis), the names
-        gathered by numpy from an object array of each axis.
-        """
-        idx = np.nonzero(where)
-        axes = (self.states, self.actions, self.states)
-        return idx, [np.array(axis, dtype=object)[ix].tolist()
-                     for axis, ix in zip(axes, idx)]
 
     def _at(self, *index) -> str:
         """Names of a (state, action) or (state, action, successor)
@@ -224,13 +213,14 @@ class CtmdpModel(IndexedModel):
         return float(self.total_rates[x, a])
 
     def to_dict(self) -> dict:
-        """Canonical file representation (sparse, sorted entries)."""
-        idx, names = self._sparse(self.rates > 0.0)
-        rates = [{"from": x, "action": a, "to": y, "rate": r}
-                 for x, a, y, r in zip(*names, self.rates[idx].tolist())]
-        idx, names = self._sparse(self.costs > 0.0)
-        costs = [{"state": x, "action": a, "rate": c}
-                 for x, a, c in zip(*names, self.costs[idx].tolist())]
+        """Canonical file representation; the entry tables are
+        jsonio.Tables, one row per positive entry in (state, action,
+        successor) order."""
+        s, a = self.states, self.actions
+        rates = Table(self.rates > 0.0, {"from": s, "action": a, "to": s},
+                      "rate", self.rates)
+        costs = Table(self.costs > 0.0, {"state": s, "action": a}, "rate",
+                      self.costs)
         return {**self._names_dict(), "rates": rates, "costs": costs}
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import Table
 from .model import CtmdpModel, IndexedModel, ModelError
 
 ROW_SUM_TOL = 1e-12
@@ -71,19 +72,16 @@ class DtmdpModel(IndexedModel):
         object.__setattr__(self, "step_weights", weights)
 
     def to_dict(self) -> dict:
-        idx, names = self._sparse(self.kernel > 0.0)
-        kernel = [{"from": x, "action": a, "to": y, "prob": p}
-                  for x, a, y, p in zip(*names, self.kernel[idx].tolist())]
+        s, a, lc = self.states, self.actions, self.log_cost
         # a row constant in the successor is one entry without "to", read
         # from its first slot; other rows get one entry per successor
-        lc = self.log_cost
-        varies = ~(lc == lc[:, :, :1]).all(axis=2)
+        varies = ~(lc == lc[:, :, :1]).all(axis=2, keepdims=True)
         first = np.arange(self.n_states) == 0
-        idx, names = self._sparse((lc > 0.0) & (varies[:, :, None] | first))
-        log_cost = [{"state": x, "action": a, "to": y, "value": v} if per_to
-                    else {"state": x, "action": a, "value": v}
-                    for x, a, y, v, per_to in zip(*names, lc[idx].tolist(),
-                                                  varies[idx[:2]].tolist())]
+        kernel = Table(self.kernel > 0.0, {"from": s, "action": a, "to": s},
+                       "prob", self.kernel)
+        log_cost = Table((lc > 0.0) & (varies | first),
+                         {"state": s, "action": a, "to": s}, "value", lc,
+                         has=np.broadcast_to(varies, lc.shape))
         return {**self._names_dict(), "kernel": kernel, "log_cost": log_cost}
 
 
