@@ -113,7 +113,7 @@ def _cmd_simulate(args):
     deviations = {}
     for x, name in enumerate(model.states):
         est = simulate.estimate_value_mc(model, policy, x, args.n,
-                                         (args.seed + x) & ((1 << 64) - 1))
+                                         args.seed + x)
         estimates[name] = est.to_dict()
         mean, value = est.mean.value, evaluated[x]
         deviations[name] = (0.0 if mean == value == np.inf

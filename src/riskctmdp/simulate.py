@@ -187,40 +187,13 @@ class _JumpTables:
 
     def __init__(self, model: CtmdpModel, policy: StationaryPolicy):
         states = np.arange(model.n_states)
-        self.actions = list(policy.choice)
-        self.totals = model.total_rates[states, self.actions]
-        self.cost_rates = model.costs[states, self.actions]
-        rows = model.rates[states, self.actions]
+        actions = list(policy.choice)
+        self.totals = model.total_rates[states, actions]
+        self.cost_rates = model.costs[states, actions]
+        rows = model.rates[states, actions]
         self.cums, self.targets, self.last = _cumulative(rows, rows > 0)
         self.stop = self.totals == 0.0
         self.infinite = self.stop & (self.cost_rates > 0.0)
-
-    def walk(self, x0: int, draws, max_jumps: int, jumps: list):
-        """One path, recording (state, action, holding time) per jump.
-
-        Returns (finite cost, elapsed time, terminal, final state); an
-        absorbed final state with positive cost rate means the true
-        accumulated cost is infinite beyond the returned finite part.
-        """
-        x = x0
-        cost = 0.0
-        elapsed = 0.0
-        for k in range(max_jumps):
-            total = self.totals[x]
-            if total == 0.0:
-                return cost, elapsed, ABSORBED, x
-            theta = -math.log1p(-draws[2 * k]) / total
-            if theta <= 0.0:
-                theta = _TINY
-            cost += self.cost_rates[x] * theta
-            elapsed += theta
-            idx = min(int(np.searchsorted(self.cums[x], draws[2 * k + 1]
-                                          * total, side="right")),
-                      self.last[x])
-            jumps.append((x, self.actions[x], theta))
-            x = int(self.targets[x, idx])
-        terminal = ABSORBED if self.totals[x] == 0.0 else TRUNCATED
-        return cost, elapsed, terminal, x
 
     def step(self, x, u):
         """One jump of every lane in x with draws u (two per lane);
@@ -237,25 +210,45 @@ def sample_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: int,
                       max_jumps: int = DEFAULT_MAX_JUMPS) -> Trajectory:
     """Simulate until absorption (zero total rate) or the jump budget.
 
-    Deterministic given the stream; a longer budget replays the same draw
-    prefix, so recorded jumps only ever extend.
+    Walks the model's own arrays, one jump at a time.  Deterministic
+    given the stream; a longer budget replays the same draw prefix, so
+    recorded jumps only ever extend.
     """
     if max_jumps < 1:
         raise ValueError(f"max_jumps must be at least 1, got {max_jumps}")
     model.check_policy(policy)
     if not 0 <= x0 < model.n_states:
         raise ValueError(f"start state index {x0} out of range")
-    tables = _JumpTables(model, policy)
     draws = rng_stream.random(2 * max_jumps)
     jumps = []
-    cost, elapsed, terminal, final = tables.walk(x0, draws, max_jumps, jumps)
-    if tables.infinite[final]:  # absorbed at a positive cost rate
-        accumulated = ExtReal(INF)
+    x, cost, elapsed = x0, 0.0, 0.0
+    for k in range(max_jumps):
+        a = policy.choice[x]
+        total = model.total_rates[x, a]
+        if total == 0.0:
+            break
+        theta = -math.log1p(-draws[2 * k]) / total
+        if theta <= 0.0:
+            theta = _TINY
+        cost += model.costs[x, a] * theta
+        elapsed += theta
+        row = model.rates[x, a]
+        targets = np.flatnonzero(row > 0)
+        cums = np.cumsum(row[targets])
+        # clamped against cumsum roundoff at the top edge
+        idx = min(int(np.searchsorted(cums, draws[2 * k + 1] * total,
+                                      side="right")), len(cums) - 1)
+        jumps.append((x, a, theta))
+        x = int(targets[idx])
+    a = policy.choice[x]
+    terminal = ABSORBED if model.total_rates[x, a] == 0.0 else TRUNCATED
+    if terminal == ABSORBED and model.costs[x, a] > 0.0:
+        accumulated = ExtReal(INF)  # absorbed at a positive cost rate
     else:
         accumulated = ExtReal(cost)
     return Trajectory(jumps=tuple(jumps), terminal=terminal,
                       accumulated_cost=accumulated, elapsed_time=elapsed,
-                      final_state=final)
+                      final_state=x)
 
 
 class _ChainTables:
@@ -351,17 +344,15 @@ def _summarize(costs, infinite, truncated, master_seed: int) -> McEstimate:
         lower = float(np.mean(lb_samples))
         samples = np.where(infinite, np.inf, lb_samples)
         if np.isinf(samples).any():
-            mean = ExtReal(INF)
+            mean, std_error = ExtReal(INF), None
         else:
             mean = ExtReal(float(np.mean(samples)))
-        if np.isinf(samples).any():
-            std_error = None
-        elif samples.max() == samples.min():
-            std_error = 0.0
-        elif samples.max() <= 0.5 * samples.sum():
-            std_error = float(samples.std(ddof=1) / math.sqrt(n))
-        else:
-            std_error = None  # heavy tail: a CI would be meaningless
+            if samples.max() == samples.min():
+                std_error = 0.0
+            elif samples.max() <= 0.5 * samples.sum():
+                std_error = float(samples.std(ddof=1) / math.sqrt(n))
+            else:
+                std_error = None  # heavy tail: a CI would be meaningless
     return McEstimate(mean=mean, std_error=std_error, n_trajectories=n,
                       truncated_fraction=float(np.mean(truncated)),
                       lower_bound_mean=lower,

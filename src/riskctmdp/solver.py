@@ -22,8 +22,8 @@ iteration.
 Value iteration shows states infinite by the test _eigen_step applies:
 a set on which the sweep of the iterate, zeroed off the set, still
 exceeds it beyond the rounding margin.  It runs on sweeps 1, 2, 4, ...;
-while every iterate is finite a sweep only floors, checks monotonicity
-and measures the change.
+every sweep floors, keeps the states already infinite at inf, checks
+monotonicity and measures the change over the states still finite.
 
 The module also provides residual checks against the original
 continuous-time model, an iterative policy evaluator kept as an
@@ -205,38 +205,30 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
 
     Returns (values, iterations, converged).  `sweep` maps the current
     vector to the next, not yet floored; `operator` is the same map, passed
-    apart so that the calls of `sweep` are the sweeps alone.  The loop
-    stops once the relative change of the states finite before the sweep
-    is under tol; until then, sweeps 1, 2, 4, 8, ... set the states that
-    _growing finds to inf, and another sweep follows.
+    apart so that the calls of `sweep` are the sweeps alone.  Every sweep
+    floors at 1, keeps the states already infinite at inf, checks
+    monotonicity and takes the largest relative change over the states
+    finite before it.  The loop stops once that change is under tol; until
+    then, sweeps 1, 2, 4, 8, ... set the states that _growing finds to
+    inf, and another sweep follows.
     """
     if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    # an iterate that overflows to inf is divergence: no warning
-    with np.errstate(over="ignore"):
+    # an iterate that overflows to inf is divergence, and the change
+    # inf - inf of a state already infinite is masked out: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
         v = np.ones(n)
-        lean = True  # no iterate infinite (or not a number) yet
         for iterations in range(1, max_iters + 1):
+            pinned = np.isinf(v)
             tv = np.maximum(sweep(v), 1.0)
-            if lean and tv.max() < np.inf:
-                rel = (tv - v) / v  # v and tv finite: every state is active
-                if rel.min() < 0.0:
-                    raise _non_monotone(v, tv)
-                change = rel.max()
-            else:
-                lean = False
-                tv[np.isinf(v)] = np.inf
-                if np.any(tv < v):
-                    raise _non_monotone(v, tv)
-                finite = np.isfinite(v)
-                change = float(((tv[finite] - v[finite]) / v[finite]).max()) \
-                    if finite.any() else 0.0
+            tv[pinned] = np.inf
+            if (tv < v).any():
+                raise _non_monotone(v, tv)
+            change = ((tv - v) / v).max(where=~pinned, initial=0.0)
             if change >= tol and iterations & (iterations - 1) == 0:
-                infinite = _growing(operator, v, tv)
-                tv[infinite] = np.inf
-                lean = lean and not infinite.any()
+                tv[_growing(operator, v, tv)] = np.inf
             v = tv
             if change < tol:
                 return v, iterations, True

@@ -364,6 +364,9 @@ def test_gen_rejects_bad_params(capsys):
     status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
                           "not json")
     assert status == 1 and "JSON" in err
+    status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
+                          "[1]")
+    assert status == 1 and "--params must be a JSON object" in err
 
 
 def test_gen_random_deterministic(tmp_path, capsys):

@@ -226,6 +226,34 @@ def test_policy_parse_and_validate(two_state):
                                             "ghost": "zz"}})
 
 
+def test_state_index(two_state):
+    assert two_state.state_index("work") == 1
+    with pytest.raises(ModelError, match="unknown state 'ghost'"):
+        two_state.state_index("ghost")
+
+
+def test_policy_that_is_not_a_mapping(two_state):
+    with pytest.raises(ModelError, match='"policy" must map state names'):
+        parse_policy(two_state, {"policy": ["a0", "a0"]})
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([TWO_STATE_RAW], "expected a model mapping, got list"),
+    ({**TWO_STATE_RAW, "admissible": ["a0"]},
+     '"admissible" must map state names to action lists'),
+], ids=["model-list", "admissible-list"])
+def test_model_parts_that_are_not_mappings(raw, message):
+    with pytest.raises(ModelError) as err:
+        validate_model(raw)
+    assert str(err.value) == message
+
+
+def test_null_admissible_entry_admits_every_action():
+    model = validate_model({**TWO_STATE_RAW, "actions": ["a0", "a1"],
+                            "admissible": {"work": ["a1"], "absorb": None}})
+    assert model.admissible == ((0, 1), (1,))
+
+
 def test_policy_admissibility_checked():
     raw = {**TWO_STATE_RAW,
            "actions": ["a0", "a1"],

@@ -76,6 +76,40 @@ class TestSampleTrajectory:
         assert a == b
 
 
+class TestInputChecks:
+    """Each estimator and sample_trajectory reject counts below 1 and a
+    start state outside the model."""
+
+    @pytest.mark.parametrize("x0, n, budget, message", [
+        (1, 0, 64, "n must be at least 1, got 0"),
+        (1, 10, 0, "{budget} must be at least 1, got 0"),
+        (2, 10, 64, "start state index 2 out of range"),
+        (-1, 10, 64, "start state index -1 out of range"),
+    ], ids=["n", "budget", "x0-past-the-end", "x0-negative"])
+    @pytest.mark.parametrize("chain", [False, True], ids=["jump", "chain"])
+    def test_estimators(self, two_state, two_state_dtmdp, chain, x0, n,
+                        budget, message):
+        policy = only_policy(two_state)
+        name = "max_steps" if chain else "max_jumps"
+        with pytest.raises(ValueError, match=message.format(budget=name)):
+            if chain:
+                estimate_dtmdp_value_mc(two_state_dtmdp, policy, x0, n, 0,
+                                        max_steps=budget)
+            else:
+                estimate_value_mc(two_state, policy, x0, n, 0,
+                                  max_jumps=budget)
+
+    @pytest.mark.parametrize("x0, max_jumps, message", [
+        (1, 0, "max_jumps must be at least 1, got 0"),
+        (2, 64, "start state index 2 out of range"),
+        (-1, 64, "start state index -1 out of range"),
+    ], ids=["max_jumps", "x0-past-the-end", "x0-negative"])
+    def test_sample_trajectory(self, two_state, x0, max_jumps, message):
+        with pytest.raises(ValueError, match=message):
+            sample_trajectory(two_state, only_policy(two_state), x0,
+                              trajectory_stream(0, 0), max_jumps)
+
+
 class TestEstimates:
     def test_two_state_within_three_std_errors(self, two_state):
         est = estimate_value_mc(two_state, only_policy(two_state), 1,

@@ -340,6 +340,11 @@ class TestOptimalityResidual:
         res = optimality_residual(_stuck_model(), report.value)
         assert res == {}
 
+    def test_value_of_the_wrong_length(self, two_state):
+        with pytest.raises(ModelError, match="value function length does "
+                                             "not match model"):
+            optimality_residual(two_state, ValueFunction.constant(3))
+
     def test_matches_per_state_loop(self, monotone_corpus):
         """Equal, bit for bit, to the per-state, per-action loop, on solved
         and perturbed values, with infinite states and restricted
