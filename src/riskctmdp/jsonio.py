@@ -25,16 +25,14 @@ class Table:
     """An entry table by columns: one row per true entry of the mask
     `where`, in C order, read as a sequence of row dicts.  `axes` maps the
     key of each coordinate, in row order, to the names along its axis;
-    `key` names the column of `values` at the entries.  With two or more
-    coordinates, the rows where the mask `has` is False leave out the last.
+    `key` names the column of `values` at the entries.
     """
 
-    def __init__(self, where, axes: dict, key: str, values, has=None):
+    def __init__(self, where, axes: dict, key: str, values):
         self.index = np.nonzero(where)
         self.axes = axes
         self.key = key
         self.values = values[self.index]
-        self.has = None if has is None else has[self.index]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -42,8 +40,6 @@ class Table:
     def __getitem__(self, i: int) -> dict:
         row = {k: names[ix[i]] for (k, names), ix in zip(self.axes.items(),
                                                          self.index)}
-        if self.has is not None and not self.has[i]:
-            row.popitem()
         row[self.key] = float(self.values[i])
         return row
 
@@ -84,12 +80,9 @@ def _emit_table(table: Table, indent: int, pieces: list) -> None:
     lits = [f",\n{pad}  {_key(k)}" for k in (*table.axes, table.key)]
     lits[0] = pad + "{" + lits[0][1:]  # a row opens where the rest have ","
     slots = [np.array([lit + encode_basestring_ascii(s) for s in names],
-                      dtype=object)[ix]
+                      dtype=object)[ix].tolist()
              for lit, names, ix in zip(lits, table.axes.values(), table.index)]
-    if table.has is not None:
-        slots[-1][~table.has] = ""
-    slots = [slot.tolist() for slot in slots] + [[lits[-1]] * len(table),
-                                                 _float_column(table.values)]
+    slots += [[lits[-1]] * len(table), _float_column(table.values)]
     # the rows, joined by ",\n", interleaved into one flat list of pieces
     end = f"\n{pad}}}"
     width = len(slots) + 1

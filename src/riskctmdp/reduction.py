@@ -30,11 +30,11 @@ class DtmdpModel(IndexedModel):
     Both arrays have shape (n_states, n_actions, n_states).  kernel[x, a]
     is a probability vector over successor states: no negative or NaN
     entry, and the rows of admissible pairs sum to 1 within ROW_SUM_TOL.
-    log_cost[x, a, y] >= 0, finite, is the log of the per-step cost
-    factor.  The reduction produces log_cost constant in y, but the
-    general slot is kept so hand-built instances need no special casing.
-    step_weights = kernel * exp(log_cost), the weights of the one-step
-    operator, is computed once here.
+    log_cost[x, a, y] >= 0, finite, is the log of the cost factor of a
+    step from x under a, the same for every successor y: a step's cost
+    depends on its state and action only, as in the reduction.  It keeps
+    the successor axis so that step_weights = kernel * exp(log_cost), the
+    weights of the one-step operator, is computed once here.
     """
 
     kernel: np.ndarray  # (n_states, n_actions, n_states)
@@ -60,6 +60,12 @@ class DtmdpModel(IndexedModel):
             x, a, y = np.argwhere(bad)[0]
             raise ModelError(
                 f"invalid log-cost at {self._at(x, a, y)}: {log_cost[x, a, y]}")
+        bad = log_cost != log_cost[:, :, :1]
+        if np.any(bad):
+            x, a, y = np.argwhere(bad)[0]
+            raise ModelError(
+                f"log-cost varies with the successor at {self._at(x, a, y)}: "
+                f"{log_cost[x, a, y]}, not {log_cost[x, a, 0]}")
         sums = kernel.sum(axis=2)
         bad = self.admissible_mask & (np.abs(sums - 1.0) > ROW_SUM_TOL)
         if np.any(bad):
@@ -72,16 +78,12 @@ class DtmdpModel(IndexedModel):
         object.__setattr__(self, "step_weights", weights)
 
     def to_dict(self) -> dict:
-        s, a, lc = self.states, self.actions, self.log_cost
-        # a row constant in the successor is one entry without "to", read
-        # from its first slot; other rows get one entry per successor
-        varies = ~(lc == lc[:, :, :1]).all(axis=2, keepdims=True)
-        first = np.arange(self.n_states) == 0
+        s, a = self.states, self.actions
+        step_cost = self.log_cost[:, :, 0]  # constant in the successor
         kernel = Table(self.kernel > 0.0, {"from": s, "action": a, "to": s},
                        "prob", self.kernel)
-        log_cost = Table((lc > 0.0) & (varies | first),
-                         {"state": s, "action": a, "to": s}, "value", lc,
-                         has=np.broadcast_to(varies, lc.shape))
+        log_cost = Table(step_cost > 0.0, {"state": s, "action": a}, "value",
+                         step_cost)
         return {**self._names_dict(), "kernel": kernel, "log_cost": log_cost}
 
 

@@ -252,27 +252,27 @@ def sample_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: int,
 
 
 class _ChainTables:
-    """Per-state step data for one (discrete-time model, policy); a state
-    stops the chain when its row is the identity at zero step cost."""
+    """Per-state step data for one (discrete-time model, policy), with one
+    step cost per state; a state stops the chain when its row is the
+    identity at zero step cost."""
 
     draws_per_step = 1
 
     def __init__(self, dtmdp: DtmdpModel, choice):
         states = np.arange(dtmdp.n_states)
         rows = dtmdp.kernel[states, choice]
-        log_cost = dtmdp.log_cost[states, choice]
         positive = rows > 0
         self.cums, self.targets, self.last = _cumulative(rows, positive)
         self.totals = self.cums[states, self.last]
-        self.step_costs = np.take_along_axis(log_cost, self.targets, axis=1)
+        self.step_costs = dtmdp.log_cost[states, choice, 0]
         self.stop = (~np.any(positive & ~np.eye(len(states), dtype=bool),
-                             axis=1) & (log_cost[states, states] == 0.0))
+                             axis=1) & (self.step_costs == 0.0))
         self.infinite = np.zeros(dtmdp.n_states, dtype=bool)
 
     def step(self, x, u):
         """One step of every lane in x with draws u (one per lane)."""
         idx = _pick(self.cums, self.last, x, u[:, 0] * self.totals[x])
-        return self.targets[x, idx], self.step_costs[x, idx]
+        return self.targets[x, idx], self.step_costs[x]
 
 
 def _walk(tables, x, key, index, n_steps: int, costs, finals):

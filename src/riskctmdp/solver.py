@@ -2,10 +2,10 @@
 
 The one-step operator maps a value vector v >= 1 to
 
-    (T v)(x) = min over admissible a of  sum_y kernel(x,a)[y] e^{l(x,a,y)} v(y)
+    (T v)(x) = min over admissible a of  sum_y kernel(x,a)[y] e^{l(x,a)} v(y)
 
 with the convention that a zero-probability transition contributes nothing
-even when v(y) is infinite.  The weights kernel(x,a)[y] e^{l(x,a,y)} are
+even when v(y) is infinite.  The weights kernel(x,a)[y] e^{l(x,a)} are
 computed once per model and read from DtmdpModel.step_weights.  Iterating
 T from the constant 1 produces a monotone nondecreasing sequence; its
 limit is the value of the model.
@@ -132,14 +132,16 @@ def _zero_infinite(flat: np.ndarray, v: np.ndarray):
 
 
 def _masked_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """weights @ v with zero weights absorbing infinite values of v."""
+    """weights @ v with zero weights absorbing infinite values of v; a
+    product that overflows is inf, which is divergence: no warning."""
     flat = weights.reshape(-1, weights.shape[-1])
-    if v.max() < np.inf:  # no entry is infinite (or NaN)
-        out = flat @ v
-    else:
-        safe, reaches = _zero_infinite(flat, v)
-        out = flat @ safe
-        out[reaches] = np.inf
+    with np.errstate(over="ignore"):
+        if v.max() < np.inf:  # no entry is infinite (or NaN)
+            out = flat @ v
+        else:
+            safe, reaches = _zero_infinite(flat, v)
+            out = flat @ safe
+            out[reaches] = np.inf
     return out.reshape(weights.shape[:-1])
 
 
@@ -216,8 +218,9 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    # an iterate that overflows to inf is divergence, and the change
-    # inf - inf of a state already infinite is masked out: no warning
+    # the change inf - inf of a state already infinite is masked out, and
+    # _growing's bound (1 + margin) v overflows for v within a few ulps of
+    # the largest float: no warning
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.ones(n)
         for iterations in range(1, max_iters + 1):
@@ -297,8 +300,7 @@ def _policy_system(model, choice: np.ndarray):
         return (total - costs, total + costs, model.rates[rows, choice],
                 costs > 0.0)
     inflow = model.step_weights[rows, choice]
-    costly = ((model.kernel[rows, choice] > 0.0)
-              & (model.log_cost[rows, choice] > 0.0)).any(axis=1)
+    costly = model.log_cost[rows, choice, 0] > 0.0
     stay = inflow[rows, rows].copy()
     inflow[rows, rows] = 0.0
     return 1.0 - stay, 1.0 + stay, inflow, costly
@@ -504,11 +506,9 @@ def _unit_actions(dtmdp: DtmdpModel):
     steps forever: the largest set of states each with an admissible
     zero-cost action whose successors all lie in the set.
     """
-    positive = dtmdp.kernel > 0.0
-    zero = dtmdp.admissible_mask & ~(positive
-                                     & (dtmdp.log_cost > 0.0)).any(axis=2)
+    zero = dtmdp.admissible_mask & (dtmdp.log_cost[:, :, 0] == 0.0)
     xs, acts = np.nonzero(zero)
-    succ = positive[xs, acts]  # successors of the zero-cost pairs only
+    succ = dtmdp.kernel[xs, acts] > 0.0  # successors of the zero-cost pairs
     unit = np.ones(dtmdp.n_states, dtype=bool)
     while True:
         stays = np.zeros_like(zero)

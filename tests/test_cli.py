@@ -70,6 +70,12 @@ def test_missing_file_exit_1(capsys):
     assert "error:" in err
 
 
+def test_validate_without_a_model_file_exit_1(capsys):
+    status, out, err = _run(capsys, "validate", "")
+    assert status == 1 and out == ""
+    assert "a model file is required" in err
+
+
 def test_solve_report(tmp_path, capsys):
     model_path = _gen_two_state(tmp_path)
     status, out, _ = _run(capsys, "solve", str(model_path))

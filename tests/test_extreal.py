@@ -38,6 +38,17 @@ def test_div(a, b, expected):
     assert ext_div(ExtReal(a), ExtReal(b)) == ExtReal(expected)
 
 
+def test_float_of_an_ext_real():
+    assert float(ExtReal(2.5)) == 2.5
+    assert float(INFINITY) == INF
+
+
+def test_plain_floats_are_checked_operands():
+    assert ext_mul(2.0, 3.0) == ExtReal(6.0)
+    with pytest.raises(ExtRealDomainError):
+        ext_mul(-1.0, 3.0)
+
+
 def test_div_inf_by_inf_rejected():
     with pytest.raises(ExtRealDomainError):
         ext_div(INFINITY, INFINITY)

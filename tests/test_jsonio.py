@@ -56,20 +56,15 @@ def _grid(draw, shape, elements):
 
 
 @st.composite
-def tables(draw, masked=None):
-    """A Table of 0 to 27 rows over 1 to 3 coordinates; `masked` True
-    always draws `has`, False never."""
-    keys = draw(st.lists(names, min_size=2 if masked else 1, max_size=3,
-                         unique=True))
+def tables(draw):
+    """A Table of 0 to 27 rows over 1 to 3 coordinates."""
+    keys = draw(st.lists(names, min_size=1, max_size=3, unique=True))
     key = draw(names.filter(lambda k: k not in keys))
     shape = tuple(draw(st.integers(1, 3)) for _ in keys)
     axes = {k: tuple(draw(st.lists(names, min_size=s, max_size=s)))
             for k, s in zip(keys, shape)}
-    if masked is None:
-        masked = len(keys) > 1 and draw(st.booleans())
     return Table(_grid(draw, shape, st.booleans()), axes, key,
-                 _grid(draw, shape, floats),
-                 _grid(draw, shape, st.booleans()) if masked else None)
+                 _grid(draw, shape, floats))
 
 
 def _nest(doc, path):
@@ -103,11 +98,9 @@ def test_tables_of_no_row_and_one_row_match_the_recursion(rows):
     assert jsonio.dumps({"t": table}) == _plain({"t": table})
 
 
-@given(tables(masked=True), st.lists(st.booleans(), max_size=2))
-def test_rows_without_their_last_coordinate_match_the_recursion(table, path):
-    keys = list(table.axes)
-    assert all(list(row) in ([*keys, table.key], [*keys[:-1], table.key])
-               for row in table)
+@given(tables(), st.lists(st.booleans(), max_size=2))
+def test_rows_hold_every_coordinate(table, path):
+    assert all(list(row) == [*table.axes, table.key] for row in table)
     doc = _nest(table, path)
     assert jsonio.dumps(doc) == _plain(doc)
 
@@ -126,14 +119,13 @@ def test_other_lists_take_the_recursion(rows):
     assert jsonio.dumps(rows) == json.dumps(rows, indent=2) + "\n"
 
 
-def test_log_cost_rows_with_and_without_to():
-    lc = np.array([[[0.0, 0.5], [0.25, 0.25]], [[0.0, 0.0], [0.125, 0.125]]])
-    varies = ~(lc == lc[:, :, :1]).all(axis=2, keepdims=True)
-    table = Table((lc > 0) & (varies | (np.arange(2) == 0)),
-                  {"state": ("a", "b"), "action": ("u", "w"),
-                   "to": ("a", "b")}, "value", lc,
-                  np.broadcast_to(varies, lc.shape))
-    rows = [{"state": "a", "action": "u", "to": "b", "value": 0.5},
+def test_log_cost_rows_have_no_to():
+    """A DTMDP file holds one log-cost row per (state, action) of positive
+    step cost, with no successor."""
+    kernel = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
+    table = make_dtmdp(["a", "b"], ["u", "w"], kernel,
+                       [[0.5, 0.25], [0.0, 0.125]]).to_dict()["log_cost"]
+    rows = [{"state": "a", "action": "u", "value": 0.5},
             {"state": "a", "action": "w", "value": 0.25},
             {"state": "b", "action": "w", "value": 0.125}]
     assert [list(row.items()) for row in table] == [
@@ -163,6 +155,12 @@ def test_non_string_key_in_a_table_raises(where):
     for emit in (jsonio.dumps, _plain):
         with pytest.raises(TypeError, match="keys must be strings"):
             emit(table)
+
+
+def test_an_object_of_another_type_raises():
+    for emit in (jsonio.dumps, _plain):
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            emit({"rates": [object()]})
 
 
 # Model files: every table the models write goes through the column path,
@@ -199,10 +197,8 @@ def dtmdps(draw):
     kernel *= _grid(draw, (n, m, n), st.booleans())
     kernel[kernel.sum(axis=2) == 0.0] = 1.0
     kernel /= kernel.sum(axis=2, keepdims=True)
-    log_cost = np.abs(_grid(draw, (n, m, n), floats))
+    log_cost = np.abs(_grid(draw, (n, m), floats))
     log_cost[~np.isfinite(log_cost) | (log_cost > 700)] = 2.0  # exp finite
-    constant = _grid(draw, (n, m), st.booleans())
-    log_cost[constant] = log_cost[constant][:, :1]
     return make_dtmdp(
         draw(st.lists(names, min_size=n, max_size=n, unique=True)),
         draw(st.lists(names, min_size=m, max_size=m, unique=True)),
@@ -218,9 +214,7 @@ def _read_dtmdp(doc, dtmdp):
     for e in doc["kernel"]:
         kernel[sidx[e["from"]], aidx[e["action"]], sidx[e["to"]]] = e["prob"]
     for e in doc["log_cost"]:
-        x, a = sidx[e["state"]], aidx[e["action"]]
-        log_cost[x, a, sidx[e["to"]] if "to" in e else slice(None)] = \
-            e["value"]
+        log_cost[sidx[e["state"]], aidx[e["action"]], :] = e["value"]
     return kernel, log_cost
 
 

@@ -264,6 +264,11 @@ def test_policy_admissibility_checked():
     assert validate_policy(model, StationaryPolicy((1, 0))).choice == (1, 0)
 
 
+def test_a_model_is_not_equal_to_a_non_model(two_state):
+    assert (two_state == "x") is False
+    assert two_state != "x"
+
+
 def test_models_are_immutable(two_state):
     with pytest.raises(ValueError):
         two_state.rates[1, 0, 0] = 9.0

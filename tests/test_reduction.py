@@ -228,24 +228,20 @@ def test_dtmdp_holds_copies_of_the_callers_arrays():
     assert kernel.flags.writeable and log_cost.flags.writeable
 
 
-def test_to_dict_log_cost_per_successor():
-    """A log-cost row that varies by successor is written once per positive
-    "to"; a constant row is one entry without "to"; zeros are left out."""
-    kernel = np.array([[[0.5, 0.5], [1.0, 0.0]],
-                       [[0.25, 0.75], [0.0, 1.0]]])
-    log_cost = np.array([[[0.0, 0.5], [0.25, 0.25]],
-                         [[0.0, 0.0], [0.125, 0.0]]])
-    doc = make_dtmdp(["a", "b"], ["u", "w"], kernel, log_cost).to_dict()
-    assert [list(e.items()) for e in doc["kernel"]] == [
-        [("from", f), ("action", a), ("to", t), ("prob", p)]
-        for f, a, t, p in (("a", "u", "a", 0.5), ("a", "u", "b", 0.5),
-                           ("a", "w", "a", 1.0), ("b", "u", "a", 0.25),
-                           ("b", "u", "b", 0.75), ("b", "w", "b", 1.0))]
-    assert [list(e.items()) for e in doc["log_cost"]] == [
-        [("state", "a"), ("action", "u"), ("to", "b"), ("value", 0.5)],
-        [("state", "a"), ("action", "w"), ("value", 0.25)],
-        [("state", "b"), ("action", "w"), ("to", "a"), ("value", 0.125)],
-    ]
+def test_a_log_cost_varying_with_the_successor_is_refused():
+    """A step's cost depends on its state and action only: both
+    constructors refuse a log-cost row that differs across successors,
+    naming its first differing coordinate, inadmissible pairs included."""
+    log_cost = np.array([[[0.0, 0.0], [0.5, 0.5]],
+                         [[0.25, 0.125], [0.0, 0.0]]])
+    kernel = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
+    for admissible in (None, [[0], [1]]):
+        for build in (DtmdpModel, make_dtmdp):
+            with pytest.raises(ModelError) as err:
+                build(states=("a", "b"), actions=("u", "w"),
+                      admissible=admissible, kernel=kernel, log_cost=log_cost)
+            assert str(err.value) == ("log-cost varies with the successor at "
+                                      "('b', 'u', 'b'): 0.125, not 0.25")
 
 
 @pytest.mark.parametrize("evaluate", [

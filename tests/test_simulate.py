@@ -69,6 +69,18 @@ class TestSampleTrajectory:
         assert longer.jumps[:2] == short.jumps
         assert longer.accumulated_cost.value >= short.accumulated_cost.value
 
+    def test_a_zero_draw_holds_for_the_smallest_positive_time(self,
+                                                              two_state):
+        """A sojourn draw of exactly 0 gives -log1p(-0) = -0.0; the holding
+        time is kept positive at the smallest subnormal instead."""
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        t = sample_trajectory(two_state, only_policy(two_state), 1, Zeros())
+        assert t.jumps == ((1, 0, 5e-324),)
+        assert t.elapsed_time == t.accumulated_cost.value == 5e-324
+
     def test_deterministic_given_stream(self, two_state):
         policy = only_policy(two_state)
         a = sample_trajectory(two_state, policy, 1, trajectory_stream(3, 7))

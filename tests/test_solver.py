@@ -175,6 +175,50 @@ class TestValueIterate:
         assert not values.finite_mask.all()
         assert not overflowed.finite_mask.any()
 
+    @pytest.mark.parametrize("call, infinite", [
+        pytest.param(lambda d: value_iterate(d, max_iters=2).value,
+                     [False, False], id="vi-2"),
+        pytest.param(lambda d: value_iterate(d, max_iters=3).value,
+                     [True, False], id="vi-3"),
+        pytest.param(lambda d: policy_iterate(d, max_iters=2).value,
+                     [False, False], id="pi-2"),
+        pytest.param(lambda d: policy_iterate(d, max_iters=3).value,
+                     [True, False], id="pi-3"),
+        pytest.param(lambda d: bellman_apply(
+            d, ValueFunction([1e200, 1e200]))[0], [True, False],
+            id="bellman_apply")])
+    def test_overflow_outside_the_loop_warns_nothing(self, call, infinite):
+        """The closing sweep of value_iterate, from which an out-of-budget
+        policy iteration reports, and bellman_apply overflow to inf on the
+        overflowing pair outside the loop: divergence, not a warning.
+        infinite: which states read inf."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = call(_overflowing_pair())
+        assert np.isinf(value.values).tolist() == infinite
+
+    def test_growth_bound_at_the_largest_float_warns_nothing(self):
+        """x and y alternate, the step from x weighing W with W * W a few
+        ulps below the largest float: the divergence test of sweep 4 meets
+        v(x) = W * W, where its bound (1 + margin) v overflows."""
+        largest = np.finfo(float).max
+        log_w = math.log(largest) / 2
+        scale = 1.0
+        while not (math.exp(log_w) * scale) ** 2 >= largest * (1 - 4e-16):
+            scale = np.nextafter(scale, 2.0)
+        while math.isinf((math.exp(log_w) * scale) ** 2):
+            scale = np.nextafter(scale, 0.0)
+        pair = make_dtmdp(["x", "y"], ["u"], [[[0.0, scale]], [[1.0, 0.0]]],
+                          [[log_w], [0.0]])
+        weight = float(pair.step_weights[0, 0, 1])
+        assert math.isinf((1.0 + float(solver._ratio_margin(2))) * weight ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [value_iterate(pair).value, policy_iterate(pair).value,
+                       evaluate_policy_iterative(pair, only_policy(pair))]
+        for value in results:
+            assert np.isinf(value.values).all()
+
     def test_monotone_sweeps_explicit(self, monotone_corpus):
         for item in monotone_corpus[:20]:
             v = ValueFunction.constant(item.model.n_states)
@@ -605,6 +649,12 @@ def _sweeps(dtmdp, policy=None):
 
 
 class TestLeanLoopMatchesReference:
+    """value_iterate and evaluate_policy_iterative against _reference_iterate,
+    the plain loop with no divergence test, bit for bit on finite cases; on
+    divergent ones, against policy iteration and the exact check (see
+    _check_loop).  The class keeps the name it had when value iteration
+    had a second, lean loop body."""
+
     @pytest.mark.parametrize("build, kwargs", LOOP_CASES)
     def test_value_iterate(self, build, kwargs):
         dtmdp = build()
