@@ -30,9 +30,11 @@ class DtmdpModel(IndexedModel):
     Both arrays have shape (n_states, n_actions, n_states).  kernel[x, a]
     is a probability vector over successor states: no negative or NaN
     entry, and the rows of admissible pairs sum to 1 within ROW_SUM_TOL.
-    log_cost[x, a, y] >= 0, finite, is the log of the cost factor of a
-    step from x under a, the same for every successor y: a step's cost
-    depends on its state and action only, as in the reduction.  It keeps
+    log_cost[x, a, y] >= 0 is the log of the cost factor of a step from x
+    under a, the same for every successor y: a step's cost depends on its
+    state and action only, as in the reduction.  The factor must be a
+    float, so log_cost is at most ln of the largest float, about 709.78;
+    the reduction's w/(w - c) always is.  It keeps
     the successor axis so that step_weights = kernel * exp(log_cost), the
     weights of the one-step operator, is computed once here.
     """
@@ -60,6 +62,14 @@ class DtmdpModel(IndexedModel):
             x, a, y = np.argwhere(bad)[0]
             raise ModelError(
                 f"invalid log-cost at {self._at(x, a, y)}: {log_cost[x, a, y]}")
+        with np.errstate(over="ignore"):
+            factor = np.exp(log_cost)
+        bad = np.isinf(factor)
+        if np.any(bad):
+            x, a, y = np.argwhere(bad)[0]
+            raise ModelError(
+                f"log-cost at {self._at(x, a, y)} is {log_cost[x, a, y]}: its "
+                f"cost factor exp({log_cost[x, a, y]}) overflows")
         bad = log_cost != log_cost[:, :, :1]
         if np.any(bad):
             x, a, y = np.argwhere(bad)[0]
@@ -72,7 +82,7 @@ class DtmdpModel(IndexedModel):
             x, a = np.argwhere(bad)[0]
             raise ModelError(f"kernel row at {self._at(x, a)} sums to "
                              f"{float(sums[x, a])!r}, not 1")
-        weights = kernel * np.exp(log_cost)
+        weights = kernel * factor
         for arr in (kernel, log_cost, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "step_weights", weights)

@@ -19,9 +19,11 @@ none is better, decides the states left infinite by power steps
 which the paper shows exists.  value_iterate alone is plain value
 iteration.
 
-Value iteration shows states infinite by the test _eigen_step applies:
-a set on which the sweep of the iterate, zeroed off the set, still
-exceeds it beyond the rounding margin.  It runs on sweeps 1, 2, 4, ...;
+Value iteration and the power steps of _eigen_step show states infinite
+by one test (_exceeds) on a lazy iterate y, v + T v in value iteration:
+a set on which the sweep of y, zeroed off the set, still exceeds y
+beyond the rounding margin.  A lazy iterate grows on every sweep on a
+class of any period.  Value iteration tests on sweeps 1, 2, 4, ...;
 every sweep floors, keeps the states already infinite at inf, checks
 monotonicity and measures the change over the states still finite.
 
@@ -180,22 +182,26 @@ def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
                        f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
-def _ratio_margin(n: int) -> float:
-    """How far past 1 a ratio T y / y over n states must be to prove growth."""
-    return 2 * (n + 1) * np.finfo(float).eps
+def _exceeds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where a > b beyond the rounding of products over n = len(b) states:
+    a > (1 + 2 (n + 1) eps) b.  This is the one growth certificate: where
+    T_S y _exceeds y > 0 on all of a set S, T_S the one-step operator on
+    the columns of S, every policy's restricted matrix has spectral radius
+    above 1 (Collatz-Wielandt), so no finite V >= 1 has V >= T_S V, and S
+    is infinite."""
+    return a > (1.0 + 2 * (len(b) + 1) * np.finfo(float).eps) * b
 
 
-def _growing(operator, v: np.ndarray, tv: np.ndarray) -> np.ndarray:
-    """The largest set S of states finite in v on which operator(v on S,
-    0 off it) > (1 + margin) v, tv being operator(v).  S is infinite: with
-    h = v on S, T_S h > h there, so every policy's restricted matrix has
-    spectral radius above 1 (Collatz-Wielandt) and no finite V >= 1 has
-    V >= T_S V."""
-    bound = (1.0 + _ratio_margin(len(v))) * v
-    grow = np.isfinite(v) & (tv > bound)
+def _growing(operator, y: np.ndarray) -> np.ndarray:
+    """The largest set S of states finite in y on which operator(y on S,
+    0 off it) _exceeds y: S is infinite.  Each pass calls operator once
+    and drops the states that fail.  y is the lazy iterate v + T v, which,
+    as in _eigen_step's power steps, grows on every sweep on a class of
+    any period, where v itself may grow on alternate sweeps only."""
+    grow = np.isfinite(y)
     size = np.count_nonzero(grow)
     while size:
-        grow &= operator(np.where(grow, v, 0.0)) > bound
+        grow &= _exceeds(operator(np.where(grow, y, 0.0)), y)
         size, before = np.count_nonzero(grow), size
         if size == before:
             break
@@ -211,16 +217,16 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
     floors at 1, keeps the states already infinite at inf, checks
     monotonicity and takes the largest relative change over the states
     finite before it.  The loop stops once that change is under tol; until
-    then, sweeps 1, 2, 4, 8, ... set the states that _growing finds to
-    inf, and another sweep follows.
+    then, sweeps 1, 2, 4, 8, ... set the states that _growing finds on the
+    lazy iterate v + T v to inf, and another sweep follows.
     """
     if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     # the change inf - inf of a state already infinite is masked out, and
-    # _growing's bound (1 + margin) v overflows for v within a few ulps of
-    # the largest float: no warning
+    # the lazy iterate and _exceeds' bound overflow near the largest
+    # float: no warning
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.ones(n)
         for iterations in range(1, max_iters + 1):
@@ -231,7 +237,7 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
                 raise _non_monotone(v, tv)
             change = ((tv - v) / v).max(where=~pinned, initial=0.0)
             if change >= tol and iterations & (iterations - 1) == 0:
-                tv[_growing(operator, v, tv)] = np.inf
+                tv[_growing(operator, v + tv)] = np.inf
             v = tv
             if change < tol:
                 return v, iterations, True
@@ -242,10 +248,11 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
                   max_iters: int = DEFAULT_MAX_ITERS) -> SolveReport:
     """Iterate the one-step operator from the constant 1 until the
     relative change of the finite states is under tol.  A set of states on
-    which the sweep of the iterate, zeroed off the set, still exceeds it is
-    infinite (_iterate tests on sweeps 1, 2, 4, ...), and so is an iterate
-    that overflows; growth below tol per sweep stops as finite.  Exhausting
-    max_iters gives converged=False rather than an exception.
+    which the sweep of the lazy iterate v + T v, zeroed off the set, still
+    exceeds it is infinite (_iterate tests on sweeps 1, 2, 4, ...), and so
+    is an iterate that overflows; growth below tol per sweep stops as
+    finite.  Exhausting max_iters gives converged=False rather than an
+    exception.
     """
     weights = dtmdp.step_weights
     adm = dtmdp.admissible_mask
@@ -367,8 +374,9 @@ def _sink_classes_first(succ: np.ndarray) -> list:
 def _solve_by_class(d, gross, inflow, vals, transient) -> None:
     """Value the transient states one strongly connected class at a time,
     sinks first, writing into vals.  A class with an edge into an infinite
-    state, or whose block fails the certificate, is infinite, and so in
-    turn is every class that reaches it."""
+    state, an inflow from the solved states that overflows, or a block
+    that fails the certificate is infinite, and so in turn is every class
+    that reaches it."""
     t = np.flatnonzero(transient)
     infinite = np.isinf(vals) & ~transient
     safe = np.where(transient | infinite, 0.0, vals)  # solved values, else 0
@@ -376,7 +384,7 @@ def _solve_by_class(d, gross, inflow, vals, transient) -> None:
         c = t[members]
         rows = inflow[c]
         x = None if (rows[:, infinite] > 0.0).any() else _certified_solve(
-            d[c], gross[c], rows[:, c], rows @ safe)
+            d[c], gross[c], rows[:, c], _masked_apply(rows, safe))
         if x is None:
             vals[c] = np.inf
             infinite[c] = True
@@ -527,14 +535,13 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
     other stuck states (closed ones: c reaches no others), lazy power
     steps y <- y + T_c y, scaled to a largest entry of 1, run from the
     warm iterate z; T_c is the one-step operator on the columns of c.
-    Beyond the rounding margin (_ratio_margin), a lowest ratio
-    T_c y / y above 1 shows c infinite, as no finite V >= 1 has
-    V >= T_c V (Nesterov and Protasov, SIAM J. Matrix Anal. Appl. 34(3),
-    2013), and the states below 1 whose greedy actions keep to them are
-    finite under those actions.  Out of budget, or with no better bound in
-    len(c) steps, c is left undecided.  Returns the states to switch and
-    their actions; whether every class was shown infinite, which matters
-    only when none switches; and the budget left.
+    A step where T_c y _exceeds y shows c infinite, as no finite V >= 1
+    has V >= T_c V (Nesterov and Protasov, SIAM J. Matrix Anal. Appl.
+    34(3), 2013), and the states whose greedy actions keep to states where
+    y _exceeds T_c y are finite under those actions.  Out of budget, or
+    with no better bound in len(c) steps, c is left undecided.  Returns
+    the states to switch and their actions; whether every class was shown
+    infinite, which matters only when none switches; and the budget left.
     """
     certified, todo = True, [stuck]
     while todo:
@@ -550,21 +557,21 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
             todo += [c[k] for k in reversed(classes)]
             continue
         y = z[c] if np.isfinite(z[c]).all() else np.ones(len(c))
-        margin = _ratio_margin(len(c))
-        low, high, idle = 0.0, np.inf, 0
-        while budget and idle < len(c) and low <= 1.0 + margin:
+        low, high, idle, grew = 0.0, np.inf, 0, False
+        while budget and idle < len(c) and not grew:
             budget -= 1
             y = y / y.max()
             ty, pick = _argmin_admissible(block @ y, allowed)
+            grew = bool(_exceeds(ty, y).all())
             ratio = ty / y  # inf where no action is left
             idle = 0 if ratio.min() > low or ratio.max() < high else idle + 1
             low, high = max(low, ratio.min()), min(high, ratio.max())
             fine = ~_reaching(block[np.arange(len(c)), pick] > 0.0,
-                              ~(ratio < 1.0 - margin))
+                              ~_exceeds(y, ty))
             if (pick != choice[c])[fine].any():
                 return c[fine], pick[fine], True, budget
             y = y + ty  # lazy, so that periodic classes converge too
-        certified &= bool(low > 1.0 + margin)
+        certified &= grew
     return [], [], certified, budget
 
 

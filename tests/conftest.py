@@ -10,6 +10,7 @@ them (it converges on some divergent ones within 200 sweeps).
 """
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ import pytest
 
 from riskctmdp import (StationaryPolicy, build_equivalent_dtmdp, gen_example,
                        optimality_residual, value_iterate)
+from riskctmdp.reduction import make_dtmdp
 from riskctmdp.solver import DEFAULT_TOL
 
 CORPUS_TOL = 1e-12
@@ -50,6 +52,17 @@ def pure_birth_dtmdp(pure_birth):
 def only_policy(model):
     """The unique policy of a single-action model."""
     return StationaryPolicy((0,) * model.n_states)
+
+
+def periodic_class():
+    """end absorbs at no cost; x and y alternate with no self-loop, the
+    step back to x costing a factor 1.02.  The plain iterate of {x, y}
+    grows on alternate sweeps only, the lazy one v + T v on every sweep."""
+    kernel = np.zeros((3, 1, 3))
+    kernel[0, 0, 0] = kernel[1, 0, 2] = kernel[2, 0, 1] = 1.0
+    log_cost = np.zeros((3, 1))
+    log_cost[2, 0] = math.log(1.02)
+    return make_dtmdp(["end", "x", "y"], ["a"], kernel, log_cost)
 
 
 def vi_solve(model, tol=DEFAULT_TOL):

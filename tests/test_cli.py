@@ -301,7 +301,9 @@ def test_report_bytes_unchanged(capsys, args, report):
     evaluator; the others are older than those changes.  When value
     iteration's cap heuristic gave way to the ratio test, the iterative
     value of infinite.evaluate.json moved by 3e-10, inside tol, and the
-    iterations of divergent.solve-pi.json fell from 20 to 3.
+    iterations of divergent.solve-pi.json fell from 20 to 3.  When that
+    test moved to the lazy iterate v + T v, the iterations of
+    divergent.solve.json and divergent.solve-pi.json fell from 3 to 2.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0

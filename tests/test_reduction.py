@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ def test_a_log_cost_varying_with_the_successor_is_refused():
                       admissible=admissible, kernel=kernel, log_cost=log_cost)
             assert str(err.value) == ("log-cost varies with the successor at "
                                       "('b', 'u', 'b'): 0.125, not 0.25")
+
+
+def test_a_log_cost_beyond_the_float_range_is_refused():
+    """A cost factor exp(log_cost) must be a float: ln of the largest
+    float is accepted, 800 is refused by name, and neither warns."""
+    kernel = [[[0.5, 0.5]], [[0.0, 1.0]]]
+    largest = math.log(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dtmdp = make_dtmdp(["x", "y"], ["u"], kernel, [[largest], [0.0]])
+        with pytest.raises(ModelError) as err:
+            make_dtmdp(["x", "y"], ["u"], kernel, [[800.0], [0.0]])
+    assert np.isfinite(dtmdp.step_weights).all()
+    assert str(err.value) == ("log-cost at ('x', 'u', 'x') is 800.0: its "
+                              "cost factor exp(800.0) overflows")
 
 
 @pytest.mark.parametrize("evaluate", [

@@ -16,7 +16,7 @@ from riskctmdp.solver import (SolverError, ValueFunction, bellman_apply,
                               optimality_residual, policy_iterate,
                               solve_ctmdp, value_iterate)
 import exact
-from conftest import only_policy
+from conftest import only_policy, periodic_class
 
 TWO_STATE_VALUE = 4.0 / 3.0  # holding-time transform of Exp(4) at cost rate 1
 PURE_BIRTH_VALUE = 1024.0 / 315.0  # product of per-level transforms
@@ -164,60 +164,92 @@ class TestValueIterate:
         warning."""
         model = gen_example("birth_death", {"levels": 63, "birth": 3,
                                             "death": 1, "cost": 1}, 0)
-        pair = _overflowing_pair()
+        chain = _overflowing_chain()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, _ = solve_ctmdp(model)
             values = evaluate_policy_iterative(
                 build_equivalent_dtmdp(model), report.policy)
-            overflowed = evaluate_policy_iterative(pair, only_policy(pair))
+            overflowed = evaluate_policy_iterative(chain, only_policy(chain))
         assert report.infinite_states
         assert not values.finite_mask.all()
-        assert not overflowed.finite_mask.any()
+        assert overflowed.values.tolist() == _overflowing_chain_value(chain)
 
     @pytest.mark.parametrize("call, infinite", [
+        pytest.param(lambda d: value_iterate(d, max_iters=1).value,
+                     [False, False, False], id="vi-1"),
         pytest.param(lambda d: value_iterate(d, max_iters=2).value,
-                     [False, False], id="vi-2"),
-        pytest.param(lambda d: value_iterate(d, max_iters=3).value,
-                     [True, False], id="vi-3"),
+                     [True, False, False], id="vi-2"),
+        pytest.param(lambda d: policy_iterate(d, max_iters=1).value,
+                     [False, False, False], id="pi-1"),
         pytest.param(lambda d: policy_iterate(d, max_iters=2).value,
-                     [False, False], id="pi-2"),
-        pytest.param(lambda d: policy_iterate(d, max_iters=3).value,
-                     [True, False], id="pi-3"),
+                     [True, False, False], id="pi-2"),
         pytest.param(lambda d: bellman_apply(
-            d, ValueFunction([1e200, 1e200]))[0], [True, False],
+            d, ValueFunction([1e200, 1e200, 1.0]))[0], [True, False, False],
             id="bellman_apply")])
     def test_overflow_outside_the_loop_warns_nothing(self, call, infinite):
         """The closing sweep of value_iterate, from which an out-of-budget
         policy iteration reports, and bellman_apply overflow to inf on the
-        overflowing pair outside the loop: divergence, not a warning.
+        overflowing chain outside the loop: divergence, not a warning.
         infinite: which states read inf."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = call(_overflowing_pair())
+            value = call(_overflowing_chain())
         assert np.isinf(value.values).tolist() == infinite
 
-    def test_growth_bound_at_the_largest_float_warns_nothing(self):
-        """x and y alternate, the step from x weighing W with W * W a few
-        ulps below the largest float: the divergence test of sweep 4 meets
-        v(x) = W * W, where its bound (1 + margin) v overflows."""
-        largest = np.finfo(float).max
-        log_w = math.log(largest) / 2
-        scale = 1.0
-        while not (math.exp(log_w) * scale) ** 2 >= largest * (1 - 4e-16):
-            scale = np.nextafter(scale, 2.0)
-        while math.isinf((math.exp(log_w) * scale) ** 2):
-            scale = np.nextafter(scale, 0.0)
-        pair = make_dtmdp(["x", "y"], ["u"], [[[0.0, scale]], [[1.0, 0.0]]],
-                          [[log_w], [0.0]])
-        weight = float(pair.step_weights[0, 0, 1])
-        assert math.isinf((1.0 + float(solver._ratio_margin(2))) * weight ** 2)
+    @pytest.mark.parametrize("evaluate", [
+        lambda d: evaluate_policy_linear(d, only_policy(d)),
+        lambda d: policy_iterate(d).value,
+        lambda d: value_iterate(d).value], ids=["linear", "pi", "vi"])
+    def test_inflow_beyond_the_float_range_is_infinite(self, evaluate):
+        """x's value 1e400 is its inflow from y, which overflows when the
+        linear evaluator values x's class: inf, and no warning."""
+        chain = _overflowing_chain()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = [value_iterate(pair).value, policy_iterate(pair).value,
-                       evaluate_policy_iterative(pair, only_policy(pair))]
+            value = evaluate(chain)
+        assert value.values.tolist() == _overflowing_chain_value(chain)
+
+    def test_growth_bound_at_the_largest_float_warns_nothing(self):
+        """x moves to end, which absorbs at no cost, the step weighing W a
+        few ulps below the largest float: x's value W is finite, but on the
+        first sweep the divergence test's bound (1 + margin) y overflows
+        on the lazy iterate y(x) = 1 + W, and so does T y(x) = 2 W."""
+        largest = np.finfo(float).max
+        log_w = math.log(largest)
+        scale = 1.0
+        while not math.exp(log_w) * scale >= largest * (1 - 4e-16):
+            scale = np.nextafter(scale, 2.0)
+        while math.isinf(math.exp(log_w) * scale):
+            scale = np.nextafter(scale, 0.0)
+        chain = make_dtmdp(["x", "end"], ["u"],
+                           [[[0.0, scale]], [[0.0, 1.0]]],
+                           [[log_w], [0.0]])
+        weight = float(chain.step_weights[0, 0, 1])
+        margin = 2 * (2 + 1) * float(np.finfo(float).eps)  # _exceeds', n=2
+        assert math.isinf((1.0 + margin) * (1.0 + weight))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [value_iterate(chain).value, policy_iterate(chain).value,
+                       evaluate_policy_iterative(chain, only_policy(chain)),
+                       evaluate_policy_linear(chain, only_policy(chain))]
         for value in results:
-            assert np.isinf(value.values).all()
+            assert value.values.tolist() == [weight, 1.0]
+
+    def test_a_periodic_class_is_shown_infinite_in_two_sweeps(
+            self, monkeypatch):
+        """{x, y} has period 2: the lazy iterate grows on every sweep, so
+        the test of the first sweep shows it infinite and the second
+        converges.  On the plain iterate it took 71 687 sweeps."""
+        dtmdp = periodic_class()
+        report = value_iterate(dtmdp)
+        assert report.iterations <= 2 and report.converged
+        assert report.infinite_states == {1, 2}
+        values, iterations, converged = _recorded_loop(
+            monkeypatch, evaluate_policy_iterative, dtmdp,
+            only_policy(dtmdp))
+        assert iterations <= 2 and converged
+        assert np.isinf(values).tolist() == [False, True, True]
 
     def test_monotone_sweeps_explicit(self, monotone_corpus):
         for item in monotone_corpus[:20]:
@@ -583,13 +615,20 @@ def _lagging_pair():
     return make_dtmdp(["y", "x"], ["u"], kernel, log_cost)
 
 
-def _overflowing_pair():
-    """x and y alternate, the step from x weighing 1e200: neither grows on
-    the sweeps that y and x grow on, so no set passes the ratio test, and
-    the iterate of x overflows to inf on the third sweep."""
-    kernel = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
-    log_cost = np.array([[math.log(1e200)], [0.0]])
-    return make_dtmdp(["x", "y"], ["u"], kernel, log_cost)
+def _overflowing_chain():
+    """x moves to y and y to end, each step weighing 1e200, and end stays
+    at no cost: y's value is 1e200, and x's, 1e400, is beyond the float
+    range.  No set grows on the lazy iterate, as y settles on the first
+    sweep, so the iterate of x overflows to inf on the second."""
+    kernel = np.zeros((3, 1, 3))
+    kernel[0, 0, 1] = kernel[1, 0, 2] = kernel[2, 0, 2] = 1.0
+    log_cost = [[math.log(1e200)], [math.log(1e200)], [0.0]]
+    return make_dtmdp(["x", "y", "end"], ["u"], kernel, log_cost)
+
+
+def _overflowing_chain_value(chain):
+    """[inf, y's step weight (1e200 to within rounding), 1]."""
+    return [math.inf, float(chain.step_weights[1, 0, 2]), 1.0]
 
 
 def _two_state(c):
@@ -611,6 +650,7 @@ LOOP_CASES = [
     pytest.param(lambda: build_equivalent_dtmdp(_stuck_model()), {},
                  id="self-loop-pinned"),
     pytest.param(_lagging_pair, {}, id="pinned-ahead-of-successor"),
+    pytest.param(periodic_class, {}, id="periodic-class"),
     pytest.param(lambda: _two_state(0.999), {"max_iters": 3},
                  id="max_iters-3"),
 ]
@@ -678,8 +718,10 @@ class TestLeanLoopMatchesReference:
         assert report.converged and len(report.infinite_states) == 63
         report = value_iterate(_lagging_pair())
         assert report.converged and report.infinite_states == {0, 1}
-        report = value_iterate(_overflowing_pair())
-        assert report.converged and report.infinite_states == {0, 1}
+        report = value_iterate(_overflowing_chain())
+        assert report.converged and report.infinite_states == {0}
+        report = value_iterate(periodic_class())
+        assert report.converged and report.infinite_states == {1, 2}
 
     @pytest.mark.parametrize("build, kwargs", [
         case for case in LOOP_CASES if case.id in (
