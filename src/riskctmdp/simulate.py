@@ -264,7 +264,7 @@ class _ChainTables:
         positive = rows > 0
         self.cums, self.targets, self.last = _cumulative(rows, positive)
         self.totals = self.cums[states, self.last]
-        self.step_costs = dtmdp.log_cost[states, choice, 0]
+        self.step_costs = dtmdp.step_cost[states, choice]
         self.stop = (~np.any(positive & ~np.eye(len(states), dtype=bool),
                              axis=1) & (self.step_costs == 0.0))
         self.infinite = np.zeros(dtmdp.n_states, dtype=bool)

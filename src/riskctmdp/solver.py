@@ -307,7 +307,7 @@ def _policy_system(model, choice: np.ndarray):
         return (total - costs, total + costs, model.rates[rows, choice],
                 costs > 0.0)
     inflow = model.step_weights[rows, choice]
-    costly = model.log_cost[rows, choice, 0] > 0.0
+    costly = model.step_cost[rows, choice] > 0.0
     stay = inflow[rows, rows].copy()
     inflow[rows, rows] = 0.0
     return 1.0 - stay, 1.0 + stay, inflow, costly
@@ -373,23 +373,19 @@ def _sink_classes_first(succ: np.ndarray) -> list:
 
 def _solve_by_class(d, gross, inflow, vals, transient) -> None:
     """Value the transient states one strongly connected class at a time,
-    sinks first, writing into vals.  A class with an edge into an infinite
-    state, an inflow from the solved states that overflows, or a block
-    that fails the certificate is infinite, and so in turn is every class
-    that reaches it."""
+    sinks first, writing into vals.  A class whose inflow from the states
+    already valued is infinite (an edge into an infinite state, or a sum
+    that overflows), or whose block fails the certificate, is infinite,
+    and so in turn is every class that reaches it."""
     t = np.flatnonzero(transient)
-    infinite = np.isinf(vals) & ~transient
-    safe = np.where(transient | infinite, 0.0, vals)  # solved values, else 0
+    known = np.where(transient, 0.0, vals)  # valued states, inf kept; else 0
     for members in _sink_classes_first(inflow[np.ix_(t, t)] > 0.0):
         c = t[members]
         rows = inflow[c]
-        x = None if (rows[:, infinite] > 0.0).any() else _certified_solve(
-            d[c], gross[c], rows[:, c], _masked_apply(rows, safe))
-        if x is None:
-            vals[c] = np.inf
-            infinite[c] = True
-        else:
-            vals[c] = safe[c] = np.maximum(x, 1.0)
+        into = _masked_apply(rows, known)
+        x = (_certified_solve(d[c], gross[c], rows[:, c], into)
+             if np.isfinite(into).all() else None)
+        vals[c] = known[c] = np.inf if x is None else np.maximum(x, 1.0)
 
 
 def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
@@ -514,7 +510,7 @@ def _unit_actions(dtmdp: DtmdpModel):
     steps forever: the largest set of states each with an admissible
     zero-cost action whose successors all lie in the set.
     """
-    zero = dtmdp.admissible_mask & (dtmdp.log_cost[:, :, 0] == 0.0)
+    zero = dtmdp.admissible_mask & (dtmdp.step_cost == 0.0)
     xs, acts = np.nonzero(zero)
     succ = dtmdp.kernel[xs, acts] > 0.0  # successors of the zero-cost pairs
     unit = np.ones(dtmdp.n_states, dtype=bool)

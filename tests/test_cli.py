@@ -1,13 +1,15 @@
 import gc
+import importlib.util
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from riskctmdp import cli, jsonio, validate_model
+from riskctmdp import build_equivalent_dtmdp, cli, jsonio, validate_model
 
 
 def _run(capsys, *argv):
@@ -308,6 +310,35 @@ def test_report_bytes_unchanged(capsys, args, report):
     status, out, _ = _run(capsys, *args)
     assert status == 0
     assert out == (GOLDEN / report).read_text(encoding="utf-8")
+
+
+def _load_gate():
+    """perfbench/gate.py, loaded as test_perfbench_contract.py loads
+    spans.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_the_benchmark_gate_accepts_reduce_output(capsys):
+    """The benchmark's gate rebuilds the reduced model's log-costs per
+    transition from DtmdpModel.log_cost, a read-only view of the one
+    step_cost per (state, action); random_adm has inadmissible pairs."""
+    path = GOLDEN / "random_adm.model.json"
+    status, out, _ = _run(capsys, "reduce", str(path))
+    model = validate_model(jsonio.loads(path.read_text(encoding="utf-8")))
+    assert _load_gate().check_reduce(status, jsonio.loads(out), model) is None
+    d = build_equivalent_dtmdp(model)
+    assert not d.log_cost.flags.writeable
+    assert np.array_equal(d.log_cost, np.broadcast_to(
+        d.step_cost[:, :, None], d.kernel.shape))
+    assert np.shares_memory(d.log_cost, d.step_cost)
 
 
 def test_defaults_come_from_the_solver():

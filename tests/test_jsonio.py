@@ -210,11 +210,11 @@ def _read_dtmdp(doc, dtmdp):
     sidx = {s: i for i, s in enumerate(doc["states"])}
     aidx = {a: i for i, a in enumerate(doc["actions"])}
     kernel, log_cost = np.zeros_like(dtmdp.kernel), np.zeros_like(
-        dtmdp.log_cost)
+        dtmdp.step_cost)
     for e in doc["kernel"]:
         kernel[sidx[e["from"]], aidx[e["action"]], sidx[e["to"]]] = e["prob"]
     for e in doc["log_cost"]:
-        log_cost[sidx[e["state"]], aidx[e["action"]], :] = e["value"]
+        log_cost[sidx[e["state"]], aidx[e["action"]]] = e["value"]
     return kernel, log_cost
 
 
@@ -236,7 +236,7 @@ def test_dtmdp_files_match_the_recursion(dtmdp):
     assert text == _plain(doc)
     kernel, log_cost = _read_dtmdp(jsonio.loads(text), dtmdp)
     assert np.array_equal(kernel, dtmdp.kernel)
-    assert np.array_equal(log_cost, dtmdp.log_cost)
+    assert np.array_equal(log_cost, dtmdp.step_cost)
 
 
 def test_dense_tables_pass_no_row_dict_to_emit(monkeypatch):

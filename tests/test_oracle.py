@@ -27,7 +27,7 @@ def _path_sum_value(dtmdp, strategy, x0, horizon):
             prob *= dtmdp.kernel[x, a, y]
             if prob == 0.0:
                 break
-            factor *= math.exp(dtmdp.log_cost[x, a, y])
+            factor *= math.exp(dtmdp.step_cost[x, a])
             x = y
         else:
             total += prob * factor
@@ -97,7 +97,7 @@ def test_oracle_is_bitwise_the_per_table_enumeration():
         admissible = [rng.choice(m, rng.integers(1, m + 1),
                                  replace=False).tolist() for _ in range(n)]
         restricted = make_dtmdp(full.states, full.actions, full.kernel,
-                                full.log_cost, admissible=admissible)
+                                full.step_cost, admissible=admissible)
         for dtmdp in (full, restricted):
             for h in range(1, ORACLE_MAX_HORIZON + 1):
                 if m ** (n * h) > ORACLE_BUDGET:

@@ -217,8 +217,8 @@ def _reference_unit_actions(dtmdp):
     """solver._unit_actions as it was before it worked on the zero-cost
     pairs alone: each pass gathers the whole kernel's columns outside the
     set."""
-    zero = dtmdp.admissible_mask & ~((dtmdp.kernel > 0.0)
-                                     & (dtmdp.log_cost > 0.0)).any(axis=2)
+    zero = dtmdp.admissible_mask & ~((dtmdp.kernel > 0.0).any(axis=2)
+                                     & (dtmdp.step_cost > 0.0))
     unit = np.ones(dtmdp.n_states, dtype=bool)
     while True:
         stays = zero & ~(dtmdp.kernel[:, :, ~unit] > 0.0).any(axis=2)
@@ -392,6 +392,7 @@ def _escape_or_trap(growth):
     kernel[1, 0, [0, 1]] = [0.01, 0.99]
     log_cost[1, 0] = math.log(growth / 0.99)
     kernel[2, 0, 2] = 1.0
+    kernel[[1, 2], 1, [1, 2]] = 1.0  # inadmissible: identity rows
     return make_dtmdp(["x", "y", "end"], ["a", "b"], kernel, log_cost,
                       admissible=[[0, 1], [0], [0]])
 
@@ -417,6 +418,7 @@ def test_states_with_every_action_into_a_shown_class_are_infinite():
     kernel[1, 1, [0, 1]] = [0.1, 0.9]
     kernel[2, 0, [1, 3]] = 0.5
     kernel[3, 0, 3] = 1.0
+    kernel[[0, 2, 3], 1, [0, 2, 3]] = 1.0  # inadmissible: identity rows
     dtmdp = make_dtmdp(["t", "x", "y", "end"], ["a", "b"], kernel, log_cost,
                        admissible=[[0], [0, 1], [0], [0]])
     report = policy_iterate(dtmdp)

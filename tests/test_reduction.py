@@ -46,11 +46,11 @@ def test_reduce_two_state(two_state):
     absorb = two_state.state_index("absorb")
     assert dtmdp.kernel[work, 0, absorb] == pytest.approx(2 / 3, abs=1e-15)
     assert dtmdp.kernel[work, 0, work] == pytest.approx(1 / 3, abs=1e-15)
-    assert dtmdp.log_cost[work, 0, 0] == pytest.approx(math.log(6 / 5),
-                                                       abs=1e-15)
+    assert dtmdp.step_cost[work, 0] == pytest.approx(math.log(6 / 5),
+                                                     abs=1e-15)
     # absorbing state: exact identity row at exactly zero cost
     assert dtmdp.kernel[absorb, 0].tolist() == [1.0, 0.0]
-    assert dtmdp.log_cost[absorb, 0].tolist() == [0.0, 0.0]
+    assert dtmdp.step_cost[absorb, 0] == 0.0
 
 
 def test_reduce_zero_cost_positive_rate_row():
@@ -60,7 +60,7 @@ def test_reduce_zero_cost_positive_rate_row():
         "costs": [],
     })
     dtmdp = build_equivalent_dtmdp(model)
-    assert dtmdp.log_cost[1, 0, 0] == 0.0  # zero cost rate, exactly
+    assert dtmdp.step_cost[1, 0] == 0.0  # zero cost rate, exactly
     assert dtmdp.kernel[1, 0, 0] == pytest.approx(3 / 4, abs=1e-15)
     assert dtmdp.kernel[1, 0, 1] == pytest.approx(1 / 4, abs=1e-15)
 
@@ -76,13 +76,13 @@ def test_kernel_rows_are_probability_vectors(monotone_corpus):
 def test_log_cost_zero_exactly_when_cost_zero(monotone_corpus):
     for item in monotone_corpus[:50]:
         model, dtmdp = item.model, item.dtmdp
-        assert np.all(dtmdp.log_cost >= 0.0)
+        assert np.all(dtmdp.step_cost >= 0.0)
         for x in range(model.n_states):
             for a in model.admissible[x]:
                 if model.costs[x, a] == 0.0:
-                    assert dtmdp.log_cost[x, a, 0] == 0.0
+                    assert dtmdp.step_cost[x, a] == 0.0
                 else:
-                    assert dtmdp.log_cost[x, a, 0] > 0.0
+                    assert dtmdp.step_cost[x, a] > 0.0
 
 
 def test_reduction_is_pure(two_state, pure_birth):
@@ -108,7 +108,7 @@ def _per_action_quantities(model, dtmdp, v):
         for a in model.admissible[x]:
             ct = (model.costs[x, a] * v[x] + model.rates[x, a] @ v
                   - model.total_rates[x, a] * v[x])
-            step = math.exp(dtmdp.log_cost[x, a, 0]) * (dtmdp.kernel[x, a] @ v)
+            step = math.exp(dtmdp.step_cost[x, a]) * (dtmdp.kernel[x, a] @ v)
             rows.append((x, a, ct, (w[x] - model.costs[x, a]) * (step - v[x])))
     return rows
 
@@ -152,7 +152,7 @@ def test_make_dtmdp_validation():
     kernel = np.array([[[0.5, 0.5]], [[0.0, 1.0]]])
     costs = np.zeros((2, 1))
     dtmdp = make_dtmdp(["a", "b"], ["u"], kernel, costs)
-    assert dtmdp.log_cost.shape == (2, 1, 2)
+    assert dtmdp.step_cost.shape == (2, 1)
 
     with pytest.raises(ModelError, match="sums to"):
         make_dtmdp(["a", "b"], ["u"],
@@ -190,59 +190,75 @@ def test_row_sum_error_prints_a_plain_float():
 
 
 _GOOD_KERNEL = [[[0.5, 0.5]], [[0.0, 1.0]]]
+# both constructors, taking states, actions, kernel, log-cost and admissible
+_BUILDERS = (
+    lambda s, a, kernel, cost, adm=None: DtmdpModel(
+        states=s, actions=a, admissible=adm, kernel=kernel, step_cost=cost),
+    make_dtmdp,
+)
 
 
 @pytest.mark.parametrize("kernel, log_cost, message", [
-    (np.full((2, 1, 3), 1 / 3), np.zeros((2, 1, 3)),
+    (np.full((2, 1, 3), 1 / 3), np.zeros((2, 1)),
      "kernel/log_cost shapes do not match state/action sets"),
-    (_GOOD_KERNEL, np.zeros((2, 2, 2)),
+    (_GOOD_KERNEL, np.zeros((2, 2)),
      "kernel/log_cost shapes do not match state/action sets"),
-    ([[[-0.5, 1.5]], [[0.0, 1.0]]], np.zeros((2, 1, 2)),
+    ([[[-0.5, 1.5]], [[0.0, 1.0]]], np.zeros((2, 1)),
      "negative kernel entry at ('a', 'u', 'a'): -0.5"),
-    ([[[0.5, 0.5]], [[np.nan, 1.0]]], np.zeros((2, 1, 2)),
+    ([[[0.5, 0.5]], [[np.nan, 1.0]]], np.zeros((2, 1)),
      "NaN kernel entry at ('b', 'u', 'a'): nan"),
-    (_GOOD_KERNEL, [[[0.0, -1.0]], [[0.0, 0.0]]],
-     "invalid log-cost at ('a', 'u', 'b'): -1.0"),
-    (_GOOD_KERNEL, [[[0.0, 0.0]], [[np.inf, 0.0]]],
-     "invalid log-cost at ('b', 'u', 'a'): inf"),
-    ([[[0.5, 0.6]], [[0.0, 1.0]]], np.zeros((2, 1, 2)),
+    (_GOOD_KERNEL, [[-1.0], [0.0]],
+     "invalid log-cost at ('a', 'u'): -1.0"),
+    (_GOOD_KERNEL, [[0.0], [np.inf]],
+     "invalid log-cost at ('b', 'u'): inf"),
+    ([[[0.5, 0.6]], [[0.0, 1.0]]], np.zeros((2, 1)),
      "kernel row at ('a', 'u') sums to 1.1, not 1"),
 ])
 def test_kernel_rules_hold_for_both_constructors(kernel, log_cost, message):
     """A directly built DtmdpModel is checked like one from make_dtmdp."""
     kernel, log_cost = np.array(kernel), np.array(log_cost, dtype=float)
-    for build in (DtmdpModel, make_dtmdp):
+    for build in _BUILDERS:
         with pytest.raises(ModelError) as err:
-            build(states=("a", "b"), actions=("u",), admissible=None,
-                  kernel=kernel, log_cost=log_cost)
+            build(("a", "b"), ("u",), kernel, log_cost)
         assert str(err.value) == message
 
 
 def test_dtmdp_holds_copies_of_the_callers_arrays():
     kernel = np.array(_GOOD_KERNEL)
-    log_cost = np.zeros((2, 1, 2))
+    step_cost = np.zeros((2, 1))
     dtmdp = DtmdpModel(states=("a", "b"), actions=("u",), admissible=None,
-                       kernel=kernel[:], log_cost=log_cost[:])
-    kernel[0, 0, 0], log_cost[0, 0, 1] = -1.0, -1.0
+                       kernel=kernel[:], step_cost=step_cost[:])
+    kernel[0, 0, 0], step_cost[0, 0] = -1.0, -1.0
     assert dtmdp.kernel[0, 0].tolist() == [0.5, 0.5]
-    assert dtmdp.log_cost[0, 0].tolist() == [0.0, 0.0]
-    assert kernel.flags.writeable and log_cost.flags.writeable
+    assert dtmdp.step_cost.tolist() == [[0.0], [0.0]]
+    assert kernel.flags.writeable and step_cost.flags.writeable
 
 
 def test_a_log_cost_varying_with_the_successor_is_refused():
-    """A step's cost depends on its state and action only: both
-    constructors refuse a log-cost row that differs across successors,
-    naming its first differing coordinate, inadmissible pairs included."""
+    """A step's cost depends on its state and action only, so both
+    constructors take one log-cost per (state, action): an array with a
+    successor axis is refused by its shape, inadmissible pairs included."""
     log_cost = np.array([[[0.0, 0.0], [0.5, 0.5]],
                          [[0.25, 0.125], [0.0, 0.0]]])
     kernel = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
     for admissible in (None, [[0], [1]]):
-        for build in (DtmdpModel, make_dtmdp):
+        for build in _BUILDERS:
             with pytest.raises(ModelError) as err:
-                build(states=("a", "b"), actions=("u", "w"),
-                      admissible=admissible, kernel=kernel, log_cost=log_cost)
-            assert str(err.value) == ("log-cost varies with the successor at "
-                                      "('b', 'u', 'b'): 0.125, not 0.25")
+                build(("a", "b"), ("u", "w"), kernel, log_cost, admissible)
+            assert str(err.value) == ("kernel/log_cost shapes do not match "
+                                      "state/action sets")
+
+
+def test_an_inadmissible_row_must_sum_to_one():
+    """Every kernel row is a probability vector, inadmissible ones too: a
+    row whose weights would overflow is refused before they are formed."""
+    kernel = [[[0.5, 0.5], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]
+    for build in _BUILDERS:
+        with pytest.raises(ModelError) as err:
+            build(["x", "y"], ["u", "v"], kernel, [[0.0, 700.0], [0.0, 0.0]],
+                  [[0], [0, 1]])
+        assert str(err.value) == ("kernel row at ('x', 'v') sums to 1e+300, "
+                                  "not 1")
 
 
 def test_a_log_cost_beyond_the_float_range_is_refused():
@@ -256,7 +272,7 @@ def test_a_log_cost_beyond_the_float_range_is_refused():
         with pytest.raises(ModelError) as err:
             make_dtmdp(["x", "y"], ["u"], kernel, [[800.0], [0.0]])
     assert np.isfinite(dtmdp.step_weights).all()
-    assert str(err.value) == ("log-cost at ('x', 'u', 'x') is 800.0: its "
+    assert str(err.value) == ("log-cost at ('x', 'u') is 800.0: its "
                               "cost factor exp(800.0) overflows")
 
 

@@ -298,7 +298,7 @@ def _chain_paths(dtmdp, policy, x0, n, seed, max_steps):
     def stops(x):
         a = choice[x]
         return (bool(np.all(np.flatnonzero(dtmdp.kernel[x, a] > 0) == x))
-                and dtmdp.log_cost[x, a, x] == 0.0)
+                and dtmdp.step_cost[x, a] == 0.0)
 
     costs, truncated = [], []
     for i in range(n):
@@ -312,7 +312,7 @@ def _chain_paths(dtmdp, policy, x0, n, seed, max_steps):
             cum = np.cumsum(row[targets])
             idx = min(int(np.searchsorted(cum, draws[k] * cum[-1],
                                           side="right")), len(cum) - 1)
-            cost += dtmdp.log_cost[x, choice[x]][targets][idx]
+            cost += dtmdp.step_cost[x, choice[x]]
             x = int(targets[idx])
         costs.append(cost)
         truncated.append(not stops(x))
