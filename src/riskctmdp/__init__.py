@@ -31,13 +31,12 @@ _HOMES = {
     "estimate_value_mc": "simulate", "evaluate_policy_iterative": "solver",
     "evaluate_policy_linear": "solver", "ext_div": "extreal",
     "ext_exp": "extreal", "ext_mul": "extreal", "ext_sub_clamped": "extreal",
-    "extract_policy": "solver", "finite_horizon_oracle": "solver",
-    "gen_example": "model", "make_dtmdp": "reduction",
+    "finite_horizon_oracle": "solver", "gen_example": "model",
     "optimality_residual": "solver", "parse_policy": "model",
     "policy_iterate": "solver", "sample_trajectory": "simulate",
     "solve_ctmdp": "solver", "trajectory_stream": "simulate",
     "uniformization_weight": "reduction", "validate_model": "model",
-    "validate_policy": "model", "value_iterate": "solver",
+    "value_iterate": "solver",
 }
 
 __all__ = list(_HOMES)

@@ -51,7 +51,6 @@ class ExtReal:
 
 INFINITY = ExtReal(INF)
 ZERO = ExtReal(0.0)
-ONE = ExtReal(1.0)
 
 
 def _val(x) -> float:

@@ -164,7 +164,10 @@ class CtmdpModel(IndexedModel):
     rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
     costs[x, a] the cost rate; both must be finite and nonnegative.
     total_rates, max_total_rate and max_cost_rate are cached over
-    admissible actions.
+    admissible actions.  Every total rate and every state's weight
+    1 + max_cost_rate + max_total_rate must be a float too: all that the
+    reduction and the generator-form evaluator derive from the rates lies
+    under that weight.
     """
 
     rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
@@ -194,23 +197,26 @@ class CtmdpModel(IndexedModel):
                     else f"negative {what} at {where}: {v}" if v < 0.0
                     else f"infinite {what} at {where}")
         adm_mask = self.admissible_mask
-        total = self.rates.sum(axis=2)
-        masked_total = np.where(adm_mask, total, 0.0)
-        masked_cost = np.where(adm_mask, self.costs, 0.0)
+        with np.errstate(over="ignore"):
+            total = self.rates.sum(axis=2)
+            max_total = np.where(adm_mask, total, 0.0).max(axis=1)
+            max_cost = np.where(adm_mask, self.costs, 0.0).max(axis=1)
+            weight = 1.0 + max_cost + max_total
+        bad = np.argwhere(np.isinf(total))
+        if len(bad):
+            raise ModelError(
+                f"total rate at {self._at(*bad[0])} is beyond the float range")
+        bad = np.flatnonzero(np.isinf(weight))
+        if len(bad):
+            raise ModelError(
+                f"weight 1 + max cost rate + max total rate of state "
+                f"'{self.states[bad[0]]}' is beyond the float range")
         object.__setattr__(self, "total_rates", total)
-        object.__setattr__(self, "max_total_rate", masked_total.max(axis=1))
-        object.__setattr__(self, "max_cost_rate", masked_cost.max(axis=1))
+        object.__setattr__(self, "max_total_rate", max_total)
+        object.__setattr__(self, "max_cost_rate", max_cost)
         for arr in (self.rates, self.costs, self.total_rates,
                     self.max_total_rate, self.max_cost_rate):
             arr.setflags(write=False)
-
-    def total_rate(self, x: int, a: int) -> float:
-        """Total outflow rate from state x under action a."""
-        if a not in self.admissible[x]:
-            raise ModelError(
-                f"action '{self.actions[a]}' is not admissible at state "
-                f"'{self.states[x]}'")
-        return float(self.total_rates[x, a])
 
     def to_dict(self) -> dict:
         """Canonical file representation; the entry tables are
@@ -235,11 +241,6 @@ class StationaryPolicy:
                            for x, a in enumerate(self.choice)}}
 
 
-def validate_policy(model, policy: StationaryPolicy) -> StationaryPolicy:
-    model.check_policy(policy)
-    return policy
-
-
 def parse_policy(model, data: dict) -> StationaryPolicy:
     """Parse {"policy": {state: action}}; solve reports work unchanged."""
     if not isinstance(data, dict) or "policy" not in data:
@@ -255,12 +256,19 @@ def parse_policy(model, data: dict) -> StationaryPolicy:
     if missing:
         raise ModelError(f"policy is missing state '{missing[0]}'")
     choice = tuple(model.action_index(mapping[name]) for name in model.states)
-    return validate_policy(model, StationaryPolicy(choice))
+    policy = StationaryPolicy(choice)
+    model.check_policy(policy)
+    return policy
 
 
 def _number(v) -> bool:
     """A JSON number: int or float, not bool."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int(v) -> bool:
+    """A JSON integer: int, not bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _fits_float(v) -> bool:
@@ -442,7 +450,7 @@ def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
         rates[1, 0, 0], costs[1, 0] = p["q"], p["c"]
     elif kind == "pure_birth":
         p = _require(params, {
-            "N": (None, lambda v: isinstance(v, int) and 1 <= v <= 20, "int in 1..20"),
+            "N": (None, lambda v: _int(v) and 1 <= v <= 20, "int in 1..20"),
             "kappa": (1.0, lambda v: _fin(v) and v >= 0, "finite cost >= 0"),
         }, kind)
         N = p["N"]
@@ -453,7 +461,7 @@ def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
         costs[i, 0] = p["kappa"]
     elif kind == "birth_death":
         p = _require(params, {
-            "levels": (None, lambda v: isinstance(v, int) and 1 <= v <= 63,
+            "levels": (None, lambda v: _int(v) and 1 <= v <= 63,
                        "int in 1..63"),
             "birth": (None, lambda v: _fin(v) and v >= 0, "finite rate >= 0"),
             "death": (None, lambda v: _fin(v) and v > 0, "finite rate > 0"),
@@ -469,8 +477,8 @@ def gen_example(kind: str, params: dict, seed: int) -> CtmdpModel:
         costs[i, 0] = float(p["cost"]) * i
     else:
         p = _require(params, {
-            "n": (None, lambda v: isinstance(v, int) and 2 <= v <= 64, "int in 2..64"),
-            "m": (None, lambda v: isinstance(v, int) and 1 <= v <= 8, "int in 1..8"),
+            "n": (None, lambda v: _int(v) and 2 <= v <= 64, "int in 2..64"),
+            "m": (None, lambda v: _int(v) and 1 <= v <= 8, "int in 1..8"),
             "rate_scale": (1.0, lambda v: _fin(v) and v > 0, "finite > 0"),
             "cost_scale": (0.5, lambda v: _fin(v) and 0 <= v < 1, "in [0, 1)"),
         }, kind)

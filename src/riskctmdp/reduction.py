@@ -53,7 +53,7 @@ class DtmdpModel(IndexedModel):
         n, m = self.n_states, self.n_actions
         kernel, step_cost = self.kernel, self.step_cost
         if kernel.shape != (n, m, n) or step_cost.shape != (n, m):
-            raise ModelError("kernel/log_cost shapes do not match state/action sets")
+            raise ModelError("kernel/step_cost shapes do not match state/action sets")
         bad = ~(kernel >= 0)  # negative or NaN
         if np.any(bad):
             x, a, y = np.argwhere(bad)[0]
@@ -67,13 +67,13 @@ class DtmdpModel(IndexedModel):
                 f"invalid log-cost at {self._at(x, a)}: {step_cost[x, a]}")
         with np.errstate(over="ignore"):
             factor = np.exp(step_cost)
+            sums = kernel.sum(axis=2)
         bad = np.isinf(factor)
         if np.any(bad):
             x, a = np.argwhere(bad)[0]
             raise ModelError(
                 f"log-cost at {self._at(x, a)} is {step_cost[x, a]}: its "
                 f"cost factor exp({step_cost[x, a]}) overflows")
-        sums = kernel.sum(axis=2)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
             x, a = np.argwhere(bad)[0]
@@ -93,15 +93,6 @@ class DtmdpModel(IndexedModel):
         log_cost = Table(self.step_cost > 0.0, {"state": s, "action": a},
                          "value", self.step_cost)
         return {**self._names_dict(), "kernel": kernel, "log_cost": log_cost}
-
-
-def make_dtmdp(states, actions, kernel, log_cost, admissible=None) -> DtmdpModel:
-    """Build a discrete-time model from array-likes: log_cost, of shape
-    (n_states, n_actions), becomes its step_cost.  DtmdpModel checks the
-    rest; None admits every action.
-    """
-    return DtmdpModel(states=states, actions=actions, admissible=admissible,
-                      kernel=kernel, step_cost=log_cost)
 
 
 def uniformization_weight(model: CtmdpModel) -> np.ndarray:
@@ -131,9 +122,9 @@ def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     # w - c > 0 is only guaranteed for admissible pairs; inadmissible rows
     # become identity rows at zero cost so every row stays stochastic
     denom = np.where(adm, w[:, None] - model.costs, 1.0)
-    log_cost = np.log(np.where(adm, w[:, None], 1.0) / denom)
+    step_cost = np.log(np.where(adm, w[:, None], 1.0) / denom)
     x, a = np.nonzero(~adm)
     kernel[x, a, :] = 0.0
     kernel[x, a, x] = 1.0
-    return make_dtmdp(model.states, model.actions, kernel, log_cost,
-                      model.admissible)
+    return DtmdpModel(model.states, model.actions, model.admissible, kernel,
+                      step_cost)

@@ -87,8 +87,9 @@ class ValueFunction:
         return np.isfinite(self.values)
 
     @classmethod
-    def constant(cls, n: int, value: float = 1.0) -> "ValueFunction":
-        return cls(np.full(n, value))
+    def constant(cls, n: int) -> "ValueFunction":
+        """The constant 1 on n states, where value iteration starts."""
+        return cls(np.ones(n))
 
 
 @dataclass(frozen=True)
@@ -158,22 +159,15 @@ def _argmin_admissible(vals: np.ndarray, adm_mask: np.ndarray):
 def bellman_apply(dtmdp: DtmdpModel, v: ValueFunction):
     """One application of the one-step operator with its argmin policy.
 
-    Ties are broken by the lowest action index; the result is floored at
-    the provable lower bound 1 so iterates stay in [1, inf] exactly.
+    Ties are broken by the lowest action index, so a state where every
+    admissible action is infinite gets its lowest admissible one; the
+    result is floored at the provable lower bound 1 so iterates stay in
+    [1, inf] exactly.
     """
     vals = _masked_apply(dtmdp.step_weights, v.values)
     best, choice = _argmin_admissible(vals, dtmdp.admissible_mask)
     tv = np.maximum(best, 1.0)
     return ValueFunction(tv), StationaryPolicy(tuple(int(a) for a in choice))
-
-
-def extract_policy(dtmdp: DtmdpModel, v: ValueFunction) -> StationaryPolicy:
-    """Lowest-index argmin of the one-step operator at v.
-
-    On states with v(x) = inf every admissible action attains the
-    (infinite) minimum, so the lowest-index admissible action is returned.
-    """
-    return bellman_apply(dtmdp, v)[1]
 
 
 def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:

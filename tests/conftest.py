@@ -19,7 +19,7 @@ import pytest
 
 from riskctmdp import (StationaryPolicy, build_equivalent_dtmdp, gen_example,
                        optimality_residual, value_iterate)
-from riskctmdp.reduction import make_dtmdp
+from riskctmdp.reduction import DtmdpModel
 from riskctmdp.solver import DEFAULT_TOL
 
 CORPUS_TOL = 1e-12
@@ -27,6 +27,21 @@ CORPUS_MAX_SWEEPS = 200
 
 CorpusItem = namedtuple("CorpusItem", "seed n_states n_actions model report dtmdp")
 OracleItem = namedtuple("OracleItem", "seed model dtmdp report horizon_max")
+
+
+# rates whose sums leave the float range: two rates of 1e308 out of one
+# state, and a rate of 1.7e308 beside a cost rate of 1e308
+OVERFLOWING_MODELS = [
+    ({"states": ["a", "b", "c"], "actions": ["u"], "rates": [
+        {"from": "a", "action": "u", "to": "b", "rate": 1e308},
+        {"from": "a", "action": "u", "to": "c", "rate": 1e308}]},
+     "total rate at ('a', 'u') is beyond the float range"),
+    ({"states": ["a", "b"], "actions": ["u"],
+      "rates": [{"from": "a", "action": "u", "to": "b", "rate": 1.7e308}],
+      "costs": [{"state": "a", "action": "u", "rate": 1e308}]},
+     "weight 1 + max cost rate + max total rate of state 'a' is beyond the "
+     "float range"),
+]
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +77,7 @@ def periodic_class():
     kernel[0, 0, 0] = kernel[1, 0, 2] = kernel[2, 0, 1] = 1.0
     log_cost = np.zeros((3, 1))
     log_cost[2, 0] = math.log(1.02)
-    return make_dtmdp(["end", "x", "y"], ["a"], kernel, log_cost)
+    return DtmdpModel(["end", "x", "y"], ["a"], None, kernel, log_cost)
 
 
 def vi_solve(model, tol=DEFAULT_TOL):

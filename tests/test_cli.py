@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from riskctmdp import build_equivalent_dtmdp, cli, jsonio, validate_model
+from conftest import OVERFLOWING_MODELS
 
 
 def _run(capsys, *argv):
@@ -401,6 +402,9 @@ def test_gen_rejects_bad_params(capsys):
                           '{"n": 1, "m": 2}')
     assert status == 1 and "out of range" in err
     status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
+                          '{"n": 2, "m": true}')
+    assert status == 1 and "'m'=True out of range (int in 1..8)" in err
+    status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
                           "not json")
     assert status == 1 and "JSON" in err
     status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
@@ -451,6 +455,17 @@ def test_int_beyond_the_float_range_exit_1(tmp_path, capsys):
     assert out == ""
     assert err == ("error: rate at ('a', 'u', 'b') is beyond the float "
                    "range\n")
+
+
+@pytest.mark.parametrize("raw, message", OVERFLOWING_MODELS,
+                         ids=["total-rate", "weight"])
+def test_rates_beyond_the_float_range_exit_1(tmp_path, capsys, raw, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(jsonio.dumps(raw))
+    status, out, err = _run(capsys, "validate", str(bad))
+    assert status == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

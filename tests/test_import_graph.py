@@ -22,12 +22,10 @@ PUBLIC = [
     "bellman_apply", "build_equivalent_dtmdp", "check_supersolution",
     "estimate_dtmdp_value_mc", "estimate_value_mc",
     "evaluate_policy_iterative", "evaluate_policy_linear", "ext_div",
-    "ext_exp", "ext_mul", "ext_sub_clamped", "extract_policy",
-    "finite_horizon_oracle", "gen_example", "make_dtmdp",
-    "optimality_residual", "parse_policy", "policy_iterate",
-    "sample_trajectory", "solve_ctmdp",
-    "trajectory_stream", "uniformization_weight", "validate_model",
-    "validate_policy", "value_iterate",
+    "ext_exp", "ext_mul", "ext_sub_clamped", "finite_horizon_oracle",
+    "gen_example", "optimality_residual", "parse_policy", "policy_iterate",
+    "sample_trajectory", "solve_ctmdp", "trajectory_stream",
+    "uniformization_weight", "validate_model", "value_iterate",
 ]
 
 # the short names of the riskctmdp.* modules loaded, sorted

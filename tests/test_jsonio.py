@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riskctmdp import (CtmdpModel, build_equivalent_dtmdp, jsonio,
-                       make_dtmdp, validate_model)
+from riskctmdp import (CtmdpModel, DtmdpModel, build_equivalent_dtmdp,
+                       jsonio, validate_model)
 from riskctmdp.jsonio import Table
 
 
@@ -123,7 +123,7 @@ def test_log_cost_rows_have_no_to():
     """A DTMDP file holds one log-cost row per (state, action) of positive
     step cost, with no successor."""
     kernel = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
-    table = make_dtmdp(["a", "b"], ["u", "w"], kernel,
+    table = DtmdpModel(["a", "b"], ["u", "w"], None, kernel,
                        [[0.5, 0.25], [0.0, 0.125]]).to_dict()["log_cost"]
     rows = [{"state": "a", "action": "u", "value": 0.5},
             {"state": "a", "action": "w", "value": 0.25},
@@ -199,10 +199,10 @@ def dtmdps(draw):
     kernel /= kernel.sum(axis=2, keepdims=True)
     log_cost = np.abs(_grid(draw, (n, m), floats))
     log_cost[~np.isfinite(log_cost) | (log_cost > 700)] = 2.0  # exp finite
-    return make_dtmdp(
+    return DtmdpModel(
         draw(st.lists(names, min_size=n, max_size=n, unique=True)),
         draw(st.lists(names, min_size=m, max_size=m, unique=True)),
-        kernel, log_cost, draw(admissible(n, m)))
+        draw(admissible(n, m)), kernel, log_cost)
 
 
 def _read_dtmdp(doc, dtmdp):

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from riskctmdp import jsonio
 from riskctmdp.model import (CtmdpModel, ModelError, StationaryPolicy,
-                             gen_example, parse_policy, validate_model,
-                             validate_policy)
+                             gen_example, parse_policy, validate_model)
+from conftest import OVERFLOWING_MODELS
 
 TWO_STATE_RAW = {
     "states": ["absorb", "work"],
@@ -17,8 +19,8 @@ TWO_STATE_RAW = {
 def test_validate_two_state_caches():
     model = validate_model(TWO_STATE_RAW)
     assert model.states == ("absorb", "work")
-    assert model.total_rate(1, 0) == 4.0
-    assert model.total_rate(0, 0) == 0.0
+    assert model.total_rates[1, 0] == 4.0
+    assert model.total_rates[0, 0] == 0.0
     assert model.max_total_rate.tolist() == [0.0, 4.0]
     assert model.max_cost_rate.tolist() == [0.0, 1.0]
     # admissible defaults to every action
@@ -114,19 +116,9 @@ def test_validation_errors_carry_coordinates(mutation, fragment):
 
 def test_total_rate_pure_birth():
     model = gen_example("pure_birth", {"N": 4, "kappa": 1.0}, 0)
-    assert model.total_rate(2, 0) == 8.0  # rate doubles per level
-    assert model.total_rate(4, 0) == 0.0
+    assert model.total_rates[2, 0] == 8.0  # rate doubles per level
+    assert model.total_rates[4, 0] == 0.0
     assert model.max_total_rate.tolist() == [2.0, 4.0, 8.0, 16.0, 0.0]
-
-
-def test_total_rate_rejects_inadmissible():
-    raw = {**TWO_STATE_RAW,
-           "actions": ["a0", "a1"],
-           "admissible": {"work": ["a0"], "absorb": ["a0", "a1"]}}
-    model = validate_model(raw)
-    assert model.total_rate(1, 0) == 4.0
-    with pytest.raises(ModelError, match="not admissible"):
-        model.total_rate(1, 1)
 
 
 def test_admissible_restricts_cached_maxima():
@@ -180,6 +172,24 @@ def test_gen_deterministic_bytes():
 def test_gen_rejects_bad_params(kind, params):
     with pytest.raises(ModelError):
         gen_example(kind, params, 0)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("pure_birth", {"N": True},
+     "generator 'pure_birth' parameter 'N'=True out of range (int in 1..20)"),
+    ("birth_death", {"levels": True, "birth": 1.0, "death": 2.0, "cost": 0.5},
+     "generator 'birth_death' parameter 'levels'=True out of range "
+     "(int in 1..63)"),
+    ("random", {"n": True, "m": 2},
+     "generator 'random' parameter 'n'=True out of range (int in 2..64)"),
+    ("random", {"n": 2, "m": True},
+     "generator 'random' parameter 'm'=True out of range (int in 1..8)"),
+], ids=["N", "levels", "n", "m"])
+def test_gen_refuses_a_bool_for_an_int(kind, params, message):
+    """JSON true is a bool, not the int 1."""
+    with pytest.raises(ModelError) as err:
+        gen_example(kind, params, 0)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -260,8 +270,8 @@ def test_policy_admissibility_checked():
            "admissible": {"work": ["a0"], "absorb": ["a0", "a1"]}}
     model = validate_model(raw)
     with pytest.raises(ModelError, match="not admissible"):
-        validate_policy(model, StationaryPolicy((0, 1)))
-    assert validate_policy(model, StationaryPolicy((1, 0))).choice == (1, 0)
+        model.check_policy(StationaryPolicy((0, 1)))
+    assert model.check_policy(StationaryPolicy((1, 0))).tolist() == [1, 0]
 
 
 def test_a_model_is_not_equal_to_a_non_model(two_state):
@@ -390,4 +400,16 @@ def test_int_beyond_the_float_range_is_a_model_error(key, entry, message):
     raw = {"states": ["a", "b"], "actions": ["u"], key: [first, entry]}
     with pytest.raises(ModelError) as err:
         validate_model(raw)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("raw, message", OVERFLOWING_MODELS,
+                         ids=["total-rate", "weight"])
+def test_rates_beyond_the_float_range_are_refused(raw, message):
+    """Every rate is finite, but a total rate or a state's weight would
+    overflow: the model is refused by name, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError) as err:
+            validate_model(raw)
     assert str(err.value) == message

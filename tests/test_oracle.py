@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from riskctmdp.model import gen_example
-from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
+from riskctmdp.reduction import DtmdpModel, build_equivalent_dtmdp
 from riskctmdp.solver import (ORACLE_BUDGET, ORACLE_MAX_HORIZON,
                               OracleGuardError, ValueFunction, bellman_apply,
                               finite_horizon_oracle)
@@ -96,8 +96,8 @@ def test_oracle_is_bitwise_the_per_table_enumeration():
                                                   seed))
         admissible = [rng.choice(m, rng.integers(1, m + 1),
                                  replace=False).tolist() for _ in range(n)]
-        restricted = make_dtmdp(full.states, full.actions, full.kernel,
-                                full.step_cost, admissible=admissible)
+        restricted = DtmdpModel(full.states, full.actions, admissible,
+                                full.kernel, full.step_cost)
         for dtmdp in (full, restricted):
             for h in range(1, ORACLE_MAX_HORIZON + 1):
                 if m ** (n * h) > ORACLE_BUDGET:

@@ -12,7 +12,7 @@ import pytest
 
 from riskctmdp import cli, jsonio, solver
 from riskctmdp.model import StationaryPolicy, gen_example, validate_model
-from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
+from riskctmdp.reduction import DtmdpModel, build_equivalent_dtmdp
 from riskctmdp.solver import (evaluate_policy_iterative,
                               evaluate_policy_linear, policy_iterate,
                               solve_ctmdp, value_iterate)
@@ -244,9 +244,9 @@ def _sparse_dtmdp(rng):
     admissible = [sorted(rng.choice(m, size=int(rng.integers(1, m + 1)),
                                     replace=False).tolist())
                   for _ in range(n)]
-    return make_dtmdp([f"s{i}" for i in range(n)],
-                      [f"a{j}" for j in range(m)], kernel, log_cost,
-                      admissible=admissible)
+    return DtmdpModel([f"s{i}" for i in range(n)],
+                      [f"a{j}" for j in range(m)], admissible, kernel,
+                      log_cost)
 
 
 def test_unit_actions_match_the_whole_kernel_fixed_point():
@@ -275,7 +275,7 @@ def test_classes_are_certified_sinks_first():
     kernel[3, 0, [2, 3]] = [0.5, 0.5]
     kernel[4, 0, [1, 2]] = [0.5, 0.5]           # e -> b and c
     kernel[5, 0, [1, 5]] = [0.5, 0.5]           # f -> b
-    dtmdp = make_dtmdp(list("abcdef"), ["u"], kernel, log_cost)
+    dtmdp = DtmdpModel(list("abcdef"), ["u"], None, kernel, log_cost)
     policy = only_policy(dtmdp)
     linear = evaluate_policy_linear(dtmdp, policy)
     iterative = evaluate_policy_iterative(dtmdp, policy, tol=1e-13)
@@ -393,8 +393,8 @@ def _escape_or_trap(growth):
     log_cost[1, 0] = math.log(growth / 0.99)
     kernel[2, 0, 2] = 1.0
     kernel[[1, 2], 1, [1, 2]] = 1.0  # inadmissible: identity rows
-    return make_dtmdp(["x", "y", "end"], ["a", "b"], kernel, log_cost,
-                      admissible=[[0, 1], [0], [0]])
+    return DtmdpModel(["x", "y", "end"], ["a", "b"], [[0, 1], [0], [0]],
+                      kernel, log_cost)
 
 
 @pytest.mark.parametrize("growth", [1.001, 1.0001])
@@ -419,8 +419,8 @@ def test_states_with_every_action_into_a_shown_class_are_infinite():
     kernel[2, 0, [1, 3]] = 0.5
     kernel[3, 0, 3] = 1.0
     kernel[[0, 2, 3], 1, [0, 2, 3]] = 1.0  # inadmissible: identity rows
-    dtmdp = make_dtmdp(["t", "x", "y", "end"], ["a", "b"], kernel, log_cost,
-                       admissible=[[0], [0, 1], [0], [0]])
+    dtmdp = DtmdpModel(["t", "x", "y", "end"], ["a", "b"],
+                       [[0], [0, 1], [0], [0]], kernel, log_cost)
     report = policy_iterate(dtmdp)
     assert report.converged and report.infinite_states == {0, 1, 2}
 

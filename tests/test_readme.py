@@ -1,14 +1,18 @@
-"""The README's library example runs as written and its command-line flags
-are the parser's, so a documented call, attribute or option that drifts
-fails here."""
+"""The README's library example runs as written, its command-line flags
+are the parser's and the API names in its prose exist, so a documented
+call, attribute or option that drifts fails here."""
 
 import argparse
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import riskctmdp
 from riskctmdp import cli
+from riskctmdp.model import GENERATOR_KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -47,3 +51,35 @@ def test_readme_names_exactly_the_parsers_flags():
     mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
                                README.read_text()))
     assert mentioned == _parser_flags()
+
+
+def _api_names() -> set:
+    """riskctmdp.__all__; the fields, properties, methods and constructor
+    parameters of its classes; the parameters of its functions; and the
+    generator kinds."""
+    names = set(riskctmdp.__all__) | set(GENERATOR_KINDS)
+    for name in riskctmdp.__all__:
+        obj = getattr(riskctmdp, name)
+        if inspect.isclass(obj):
+            names.update(n for n in dir(obj) if not n.startswith("_"))
+        if dataclasses.is_dataclass(obj):  # its constructor's parameters
+            names.update(f.name for f in dataclasses.fields(obj))
+        elif inspect.isfunction(obj):
+            names.update(inspect.signature(obj).parameters)
+    return names
+
+
+def _backticked_snake_case() -> set:
+    """Each backticked snake_case identifier of README's prose, outside
+    code fences; of a call form such as `check_policy(policy)`, the name
+    before the parenthesis."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    return {m[1] for span in re.findall(r"`([^`]+)`", prose)
+            if (m := re.fullmatch(r"([a-z][a-z0-9]*(?:_[a-z0-9]+)+)(\(.*\))?",
+                                  span, re.S))}
+
+
+def test_readme_names_only_api_that_exists():
+    mentioned = _backticked_snake_case()
+    assert "check_policy" in mentioned and "trajectory_stream" in mentioned
+    assert sorted(mentioned - _api_names()) == []

@@ -8,7 +8,7 @@ from riskctmdp import estimate_dtmdp_value_mc, jsonio
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
 from riskctmdp.reduction import (DtmdpModel, build_equivalent_dtmdp,
-                                 make_dtmdp, uniformization_weight)
+                                 uniformization_weight)
 from riskctmdp.solver import (ValueFunction, bellman_apply,
                               evaluate_policy_iterative,
                               evaluate_policy_linear, optimality_residual)
@@ -148,61 +148,55 @@ def test_non_solution_violates_both(two_state, two_state_dtmdp):
     assert res[1] == pytest.approx(1.0, abs=1e-12)  # c + q - q*1 = 1
 
 
-def test_make_dtmdp_validation():
+def test_dtmdp_validation():
     kernel = np.array([[[0.5, 0.5]], [[0.0, 1.0]]])
     costs = np.zeros((2, 1))
-    dtmdp = make_dtmdp(["a", "b"], ["u"], kernel, costs)
+    dtmdp = DtmdpModel(["a", "b"], ["u"], None, kernel, costs)
     assert dtmdp.step_cost.shape == (2, 1)
 
     with pytest.raises(ModelError, match="sums to"):
-        make_dtmdp(["a", "b"], ["u"],
+        DtmdpModel(["a", "b"], ["u"], None,
                    np.array([[[0.5, 0.6]], [[0.0, 1.0]]]), costs)
     with pytest.raises(ModelError, match="negative kernel"):
-        make_dtmdp(["a", "b"], ["u"],
+        DtmdpModel(["a", "b"], ["u"], None,
                    np.array([[[-0.5, 1.5]], [[0.0, 1.0]]]), costs)
     with pytest.raises(ModelError, match=r"NaN kernel entry at \('b', 'u', 'a'\)"):
-        make_dtmdp(["a", "b"], ["u"],
+        DtmdpModel(["a", "b"], ["u"], None,
                    np.array([[[0.5, 0.5]], [[np.nan, 1.0]]]), costs)
     with pytest.raises(ModelError, match="invalid log-cost"):
-        make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), -1.0))
+        DtmdpModel(["a", "b"], ["u"], None, kernel, np.full((2, 1), -1.0))
     with pytest.raises(ModelError, match="invalid log-cost"):
-        make_dtmdp(["a", "b"], ["u"], kernel, np.full((2, 1), np.inf))
+        DtmdpModel(["a", "b"], ["u"], None, kernel, np.full((2, 1), np.inf))
     with pytest.raises(ModelError, match="empty admissible set for state 'b'"):
-        make_dtmdp(["a", "b"], ["u"], kernel, costs, admissible=[[0], []])
+        DtmdpModel(["a", "b"], ["u"], [[0], []], kernel, costs)
     with pytest.raises(ModelError, match="index 1 out of range at state 'a'"):
-        make_dtmdp(["a", "b"], ["u"], kernel, costs, admissible=[[1], [0]])
+        DtmdpModel(["a", "b"], ["u"], [[1], [0]], kernel, costs)
     with pytest.raises(ModelError, match="state list is empty"):
-        make_dtmdp([], ["u"], np.zeros((0, 1, 0)), np.zeros((0, 1)))
+        DtmdpModel([], ["u"], None, np.zeros((0, 1, 0)), np.zeros((0, 1)))
     with pytest.raises(ModelError, match="duplicate state identifier 'a'"):
-        make_dtmdp(["a", "a"], ["u"], kernel, costs)
+        DtmdpModel(["a", "a"], ["u"], None, kernel, costs)
     with pytest.raises(ModelError, match="state identifier 3 is not a string"):
-        make_dtmdp(["a", 3], ["u"], kernel, costs)
+        DtmdpModel(["a", 3], ["u"], None, kernel, costs)
     with pytest.raises(ModelError, match="duplicate action identifier 'u'"):
-        make_dtmdp(["a", "b"], ["u", "u"], np.zeros((2, 2, 2)) + [1.0, 0.0],
-                   np.zeros((2, 2)))
+        DtmdpModel(["a", "b"], ["u", "u"], None,
+                   np.zeros((2, 2, 2)) + [1.0, 0.0], np.zeros((2, 2)))
 
 
 def test_row_sum_error_prints_a_plain_float():
     with pytest.raises(ModelError) as err:
-        make_dtmdp(["a", "b"], ["u"], np.array([[[0.5, 0.6]], [[0.0, 1.0]]]),
-                   np.zeros((2, 1)))
+        DtmdpModel(["a", "b"], ["u"], None,
+                   np.array([[[0.5, 0.6]], [[0.0, 1.0]]]), np.zeros((2, 1)))
     assert str(err.value) == "kernel row at ('a', 'u') sums to 1.1, not 1"
 
 
 _GOOD_KERNEL = [[[0.5, 0.5]], [[0.0, 1.0]]]
-# both constructors, taking states, actions, kernel, log-cost and admissible
-_BUILDERS = (
-    lambda s, a, kernel, cost, adm=None: DtmdpModel(
-        states=s, actions=a, admissible=adm, kernel=kernel, step_cost=cost),
-    make_dtmdp,
-)
 
 
 @pytest.mark.parametrize("kernel, log_cost, message", [
     (np.full((2, 1, 3), 1 / 3), np.zeros((2, 1)),
-     "kernel/log_cost shapes do not match state/action sets"),
+     "kernel/step_cost shapes do not match state/action sets"),
     (_GOOD_KERNEL, np.zeros((2, 2)),
-     "kernel/log_cost shapes do not match state/action sets"),
+     "kernel/step_cost shapes do not match state/action sets"),
     ([[[-0.5, 1.5]], [[0.0, 1.0]]], np.zeros((2, 1)),
      "negative kernel entry at ('a', 'u', 'a'): -0.5"),
     ([[[0.5, 0.5]], [[np.nan, 1.0]]], np.zeros((2, 1)),
@@ -213,14 +207,18 @@ _BUILDERS = (
      "invalid log-cost at ('b', 'u'): inf"),
     ([[[0.5, 0.6]], [[0.0, 1.0]]], np.zeros((2, 1)),
      "kernel row at ('a', 'u') sums to 1.1, not 1"),
+    ([[[1e308, 1e308]], [[0.0, 1.0]]], np.zeros((2, 1)),
+     "kernel row at ('a', 'u') sums to inf, not 1"),
 ])
-def test_kernel_rules_hold_for_both_constructors(kernel, log_cost, message):
-    """A directly built DtmdpModel is checked like one from make_dtmdp."""
+def test_kernel_rules(kernel, log_cost, message):
+    """Each kernel and log-cost rule is refused by name, without a
+    warning: a row whose sum overflows reads inf."""
     kernel, log_cost = np.array(kernel), np.array(log_cost, dtype=float)
-    for build in _BUILDERS:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ModelError) as err:
-            build(("a", "b"), ("u",), kernel, log_cost)
-        assert str(err.value) == message
+            DtmdpModel(("a", "b"), ("u",), None, kernel, log_cost)
+    assert str(err.value) == message
 
 
 def test_dtmdp_holds_copies_of_the_callers_arrays():
@@ -235,30 +233,27 @@ def test_dtmdp_holds_copies_of_the_callers_arrays():
 
 
 def test_a_log_cost_varying_with_the_successor_is_refused():
-    """A step's cost depends on its state and action only, so both
-    constructors take one log-cost per (state, action): an array with a
+    """A step's cost depends on its state and action only, so the
+    constructor takes one log-cost per (state, action): an array with a
     successor axis is refused by its shape, inadmissible pairs included."""
     log_cost = np.array([[[0.0, 0.0], [0.5, 0.5]],
                          [[0.25, 0.125], [0.0, 0.0]]])
     kernel = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
     for admissible in (None, [[0], [1]]):
-        for build in _BUILDERS:
-            with pytest.raises(ModelError) as err:
-                build(("a", "b"), ("u", "w"), kernel, log_cost, admissible)
-            assert str(err.value) == ("kernel/log_cost shapes do not match "
-                                      "state/action sets")
+        with pytest.raises(ModelError) as err:
+            DtmdpModel(("a", "b"), ("u", "w"), admissible, kernel, log_cost)
+        assert str(err.value) == ("kernel/step_cost shapes do not match "
+                                  "state/action sets")
 
 
 def test_an_inadmissible_row_must_sum_to_one():
     """Every kernel row is a probability vector, inadmissible ones too: a
     row whose weights would overflow is refused before they are formed."""
     kernel = [[[0.5, 0.5], [1e300, 0.0]], [[0.0, 1.0], [0.0, 1.0]]]
-    for build in _BUILDERS:
-        with pytest.raises(ModelError) as err:
-            build(["x", "y"], ["u", "v"], kernel, [[0.0, 700.0], [0.0, 0.0]],
-                  [[0], [0, 1]])
-        assert str(err.value) == ("kernel row at ('x', 'v') sums to 1e+300, "
-                                  "not 1")
+    with pytest.raises(ModelError) as err:
+        DtmdpModel(["x", "y"], ["u", "v"], [[0], [0, 1]], kernel,
+                   [[0.0, 700.0], [0.0, 0.0]])
+    assert str(err.value) == "kernel row at ('x', 'v') sums to 1e+300, not 1"
 
 
 def test_a_log_cost_beyond_the_float_range_is_refused():
@@ -268,9 +263,10 @@ def test_a_log_cost_beyond_the_float_range_is_refused():
     largest = math.log(np.finfo(float).max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dtmdp = make_dtmdp(["x", "y"], ["u"], kernel, [[largest], [0.0]])
+        dtmdp = DtmdpModel(["x", "y"], ["u"], None, kernel,
+                           [[largest], [0.0]])
         with pytest.raises(ModelError) as err:
-            make_dtmdp(["x", "y"], ["u"], kernel, [[800.0], [0.0]])
+            DtmdpModel(["x", "y"], ["u"], None, kernel, [[800.0], [0.0]])
     assert np.isfinite(dtmdp.step_weights).all()
     assert str(err.value) == ("log-cost at ('x', 'u') is 800.0: its "
                               "cost factor exp(800.0) overflows")

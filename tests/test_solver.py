@@ -9,12 +9,11 @@ import pytest
 from riskctmdp import jsonio, solver
 from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
                              validate_model)
-from riskctmdp.reduction import build_equivalent_dtmdp, make_dtmdp
+from riskctmdp.reduction import DtmdpModel, build_equivalent_dtmdp
 from riskctmdp.solver import (SolverError, ValueFunction, bellman_apply,
                               check_supersolution, evaluate_policy_iterative,
-                              evaluate_policy_linear, extract_policy,
-                              optimality_residual, policy_iterate,
-                              solve_ctmdp, value_iterate)
+                              evaluate_policy_linear, optimality_residual,
+                              policy_iterate, solve_ctmdp, value_iterate)
 import exact
 from conftest import only_policy, periodic_class
 
@@ -70,7 +69,7 @@ class TestBellmanApply:
         kernel[0, 1] = [0.0, 0.5, 0.5]
         kernel[1, :, 1] = 1.0
         kernel[2, :, 2] = 1.0
-        dtmdp = make_dtmdp(["x", "good", "bad"], ["u", "v"], kernel,
+        dtmdp = DtmdpModel(["x", "good", "bad"], ["u", "v"], None, kernel,
                            np.zeros((3, 2)))
         v = ValueFunction(np.array([1.0, 1.0, np.inf]))
         out, choice = bellman_apply(dtmdp, v)
@@ -81,7 +80,7 @@ class TestBellmanApply:
         kernel = np.zeros((1, 3, 1))
         kernel[:, :, 0] = 1.0
         log_cost = np.full((1, 3), math.log(2.0))
-        dtmdp = make_dtmdp(["s"], ["u", "v", "w"], kernel, log_cost)
+        dtmdp = DtmdpModel(["s"], ["u", "v", "w"], None, kernel, log_cost)
         _, choice = bellman_apply(dtmdp, ValueFunction.constant(1))
         assert choice.choice == (0,)
 
@@ -222,7 +221,7 @@ class TestValueIterate:
             scale = np.nextafter(scale, 2.0)
         while math.isinf(math.exp(log_w) * scale):
             scale = np.nextafter(scale, 0.0)
-        chain = make_dtmdp(["x", "end"], ["u"],
+        chain = DtmdpModel(["x", "end"], ["u"], None,
                            [[[0.0, scale]], [[0.0, 1.0]]],
                            [[log_w], [0.0]])
         weight = float(chain.step_weights[0, 0, 1])
@@ -263,7 +262,7 @@ class TestValueIterate:
 class TestExtractPolicy:
     def test_singleton_action(self, two_state_dtmdp):
         report = value_iterate(two_state_dtmdp)
-        assert extract_policy(two_state_dtmdp, report.value).choice == (0, 0)
+        assert bellman_apply(two_state_dtmdp, report.value)[1].choice == (0, 0)
 
     def test_prefers_strictly_better_action(self):
         model = _two_action_two_state()
@@ -511,7 +510,8 @@ def _self_loop_dtmdp():
     """'a' absorbs at zero cost; 'b' loops on itself at factor e^400 per
     step, so its iterates would overflow to inf on the second sweep."""
     kernel = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-    return make_dtmdp(["a", "b"], ["u"], kernel, np.array([[0.0], [400.0]]))
+    return DtmdpModel(["a", "b"], ["u"], None, kernel,
+                      np.array([[0.0], [400.0]]))
 
 
 class TestSolveReport:
@@ -612,7 +612,7 @@ def _lagging_pair():
     through y, so x is shown infinite only together with y."""
     kernel = np.array([[[1.0, 0.0]], [[1.0, 0.0]]])
     log_cost = np.array([[math.log(3.0)], [math.log(1000.0)]])
-    return make_dtmdp(["y", "x"], ["u"], kernel, log_cost)
+    return DtmdpModel(["y", "x"], ["u"], None, kernel, log_cost)
 
 
 def _overflowing_chain():
@@ -623,7 +623,7 @@ def _overflowing_chain():
     kernel = np.zeros((3, 1, 3))
     kernel[0, 0, 1] = kernel[1, 0, 2] = kernel[2, 0, 2] = 1.0
     log_cost = [[math.log(1e200)], [math.log(1e200)], [0.0]]
-    return make_dtmdp(["x", "y", "end"], ["u"], kernel, log_cost)
+    return DtmdpModel(["x", "y", "end"], ["u"], None, kernel, log_cost)
 
 
 def _overflowing_chain_value(chain):
