@@ -14,7 +14,7 @@ only turns the entries of a model file into arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,6 +44,18 @@ def _unique_names(names, what: str) -> tuple:
 
 
 _SELF_LOOP = "explicit self-loop rate at {}; the diagonal is implied"
+
+
+def _refuse_admissible(states: tuple, admissible: tuple, m: int) -> None:
+    """Raise for the first state, in state order, whose admissible set is
+    empty or holds an index out of range."""
+    for x, acts in enumerate(admissible):
+        if not acts:
+            raise ModelError(f"empty admissible set for state '{states[x]}'")
+        for a in acts:
+            if not 0 <= a < m:
+                raise ModelError(f"admissible action index {a} out of range "
+                                 f"at state '{states[x]}'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +88,19 @@ class IndexedModel:
         if len(admissible) != n:
             raise ModelError(f"admissible sets given for {len(admissible)} "
                              f"states, model has {n}")
+        # one scatter over flat indices, which ravel_multi_index checks
+        sizes = list(map(len, admissible))
+        if not all(sizes):
+            _refuse_admissible(states, admissible, m)
+        try:
+            flat = np.ravel_multi_index(
+                (np.arange(n).repeat(sizes),
+                 np.array(list(chain.from_iterable(admissible)))), (n, m))
+        except (ValueError, TypeError):  # out of range, or not an integer
+            _refuse_admissible(states, admissible, m)
+            raise
         mask = np.zeros((n, m), dtype=bool)
-        for x, acts in enumerate(admissible):
-            if not acts:
-                raise ModelError(f"empty admissible set for state '{states[x]}'")
-            for a in acts:
-                if not 0 <= a < m:
-                    raise ModelError(
-                        f"admissible action index {a} out of range at "
-                        f"state '{states[x]}'")
-            mask[x, list(acts)] = True
+        mask.put(flat, True)
         mask.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
@@ -118,19 +133,28 @@ class IndexedModel:
     def check_policy(self, policy) -> np.ndarray:
         """Validate a stationary policy against the admissible sets;
         returns its choice as an index array."""
-        if len(policy.choice) != self.n_states:
+        n, m = self.n_states, self.n_actions
+        if len(policy.choice) != n:
             raise ModelError(
-                f"policy covers {len(policy.choice)} states, model has "
-                f"{self.n_states}")
-        for x, a in enumerate(policy.choice):
-            if not 0 <= a < self.n_actions:
-                raise ModelError(f"policy action index {a} out of range at "
-                                 f"state '{self.states[x]}'")
-            if a not in self.admissible[x]:
-                raise ModelError(
-                    f"policy action '{self.actions[a]}' is not admissible at "
-                    f"state '{self.states[x]}'")
-        return np.asarray(policy.choice, dtype=int)
+                f"policy covers {len(policy.choice)} states, model has {n}")
+        choice = np.array(policy.choice)
+        # the whole choice at once; only a failed check walks the states,
+        # for the first offender
+        try:
+            admitted = np.count_nonzero(self.admissible_mask.ravel()[
+                np.ravel_multi_index((np.arange(n), choice), (n, m))]) == n
+        except (ValueError, TypeError):  # out of range, or not an integer
+            admitted = False
+        if not admitted:
+            for x, a in enumerate(policy.choice):
+                if not 0 <= a < m:
+                    raise ModelError(f"policy action index {a} out of range "
+                                     f"at state '{self.states[x]}'")
+                if a not in self.admissible[x]:
+                    raise ModelError(
+                        f"policy action '{self.actions[a]}' is not admissible"
+                        f" at state '{self.states[x]}'")
+        return np.asarray(choice, dtype=int)
 
     def _at(self, *index) -> str:
         """Names of a (state, action) or (state, action, successor)

@@ -20,7 +20,7 @@ which the paper shows exists.  value_iterate alone is plain value
 iteration.
 
 Value iteration and the power steps of _eigen_step show states infinite
-by one test (_exceeds) on a lazy iterate y, v + T v in value iteration:
+by one test (_growth_bound) on a lazy iterate y, v + T v in value iteration:
 a set on which the sweep of y, zeroed off the set, still exceeds y
 beyond the rounding margin.  A lazy iterate grows on every sweep on a
 class of any period.  Value iteration tests on sweeps 1, 2, 4, ...;
@@ -49,6 +49,7 @@ WARM_SWEEPS = 20  # value-iteration sweeps before the first policy is taken
 IMPROVE_RTOL = 1e-12  # an action must beat the current one by this factor
 ORACLE_BUDGET = 10 ** 7
 ORACLE_MAX_HORIZON = 6
+_EPS = np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -99,8 +100,8 @@ class SolveReport:
     sup_residual is the supremum over finite-value states of the solved
     model's optimality-equation residual: the relative fixed-point gap
     |Tv - v|/v for a bare discrete-time solve, or the continuous-time
-    residual when produced by solve_ctmdp.  infinite_states is read off
-    value.
+    residual when produced by solve_ctmdp, inf where that residual is not
+    computable (its terms overflow).  infinite_states is read off value.
     """
 
     value: ValueFunction
@@ -134,23 +135,40 @@ def _zero_infinite(flat: np.ndarray, v: np.ndarray):
             (flat[:, inf_mask] > 0.0).any(axis=1))
 
 
-def _masked_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """weights @ v with zero weights absorbing infinite values of v; a
-    product that overflows is inf, which is divergence: no warning."""
-    flat = weights.reshape(-1, weights.shape[-1])
+def _masked_apply(flat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """flat @ v, flat a 2-D array of weights, with zero weights absorbing
+    infinite values of v; a product that overflows is inf, which is
+    divergence: no warning."""
     with np.errstate(over="ignore"):
         if v.max() < np.inf:  # no entry is infinite (or NaN)
-            out = flat @ v
-        else:
-            safe, reaches = _zero_infinite(flat, v)
-            out = flat @ safe
-            out[reaches] = np.inf
-    return out.reshape(weights.shape[:-1])
+            return flat @ v
+        safe, reaches = _zero_infinite(flat, v)
+        out = flat @ safe
+    out[reaches] = np.inf
+    return out
+
+
+def _action_values(dtmdp: DtmdpModel):
+    """The map from v to the (n, m) array of sum_y W(x, a, y) v(y), +inf at
+    inadmissible pairs: the one-step operator before its minimum.
+
+    Its flat (n m, n) view of step_weights and its additive penalty, 0 at
+    admissible pairs and +inf elsewhere, are built once here and read on
+    every call.  vals + penalty is np.where(adm, vals, inf) bit for bit,
+    as vals >= 0 is never NaN.
+    """
+    n, m = dtmdp.n_states, dtmdp.n_actions
+    flat = dtmdp.step_weights.reshape(n * m, n)
+    penalty = np.where(dtmdp.admissible_mask, 0.0, np.inf)
+
+    def values(v):
+        return _masked_apply(flat, v).reshape(n, m) + penalty
+    return values
 
 
 def _argmin_admissible(vals: np.ndarray, adm_mask: np.ndarray):
-    """Per-state minimum over admissible actions and its lowest attaining index."""
-    vals = np.where(adm_mask, vals, np.inf)
+    """Per-state minimum of vals, +inf at inadmissible pairs, and its
+    lowest attaining admissible index."""
     best = vals.min(axis=1)
     attains = adm_mask & (vals == best[:, None])
     return best, np.argmax(attains, axis=1)
@@ -164,10 +182,10 @@ def bellman_apply(dtmdp: DtmdpModel, v: ValueFunction):
     result is floored at the provable lower bound 1 so iterates stay in
     [1, inf] exactly.
     """
-    vals = _masked_apply(dtmdp.step_weights, v.values)
-    best, choice = _argmin_admissible(vals, dtmdp.admissible_mask)
+    best, choice = _argmin_admissible(_action_values(dtmdp)(v.values),
+                                      dtmdp.admissible_mask)
     tv = np.maximum(best, 1.0)
-    return ValueFunction(tv), StationaryPolicy(tuple(int(a) for a in choice))
+    return ValueFunction(tv), StationaryPolicy(tuple(choice.tolist()))
 
 
 def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
@@ -176,26 +194,28 @@ def _non_monotone(v: np.ndarray, tv: np.ndarray) -> SolverError:
                        f"{float(v[x])!r} -> {float(tv[x])!r}")
 
 
-def _exceeds(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where a > b beyond the rounding of products over n = len(b) states:
-    a > (1 + 2 (n + 1) eps) b.  This is the one growth certificate: where
-    T_S y _exceeds y > 0 on all of a set S, T_S the one-step operator on
-    the columns of S, every policy's restricted matrix has spectral radius
-    above 1 (Collatz-Wielandt), so no finite V >= 1 has V >= T_S V, and S
-    is infinite."""
-    return a > (1.0 + 2 * (len(b) + 1) * np.finfo(float).eps) * b
+def _growth_bound(b: np.ndarray) -> np.ndarray:
+    """(1 + 2 (n + 1) eps) b, n = len(b): a > _growth_bound(b) is a > b
+    beyond the rounding of products over n states.  This is the one growth
+    certificate: where T_S y > _growth_bound(y), y > 0, on all of a set S,
+    T_S the one-step operator on the columns of S, every policy's
+    restricted matrix has spectral radius above 1 (Collatz-Wielandt), so
+    no finite V >= 1 has V >= T_S V, and S is infinite."""
+    return (1.0 + 2 * (len(b) + 1) * _EPS) * b
 
 
 def _growing(operator, y: np.ndarray) -> np.ndarray:
     """The largest set S of states finite in y on which operator(y on S,
-    0 off it) _exceeds y: S is infinite.  Each pass calls operator once
-    and drops the states that fail.  y is the lazy iterate v + T v, which,
-    as in _eigen_step's power steps, grows on every sweep on a class of
-    any period, where v itself may grow on alternate sweeps only."""
+    0 off it) exceeds _growth_bound(y): S is infinite.  Each pass calls
+    operator once and drops the states that fail.  y is the lazy iterate
+    v + T v, which, as in _eigen_step's power steps, grows on every sweep
+    on a class of any period, where v itself may grow on alternate sweeps
+    only."""
+    bound = _growth_bound(y)
     grow = np.isfinite(y)
     size = np.count_nonzero(grow)
     while size:
-        grow &= _exceeds(operator(np.where(grow, y, 0.0)), y)
+        grow &= operator(np.where(grow, y, 0.0)) > bound
         size, before = np.count_nonzero(grow), size
         if size == before:
             break
@@ -212,29 +232,38 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
     monotonicity and takes the largest relative change over the states
     finite before it.  The loop stops once that change is under tol; until
     then, sweeps 1, 2, 4, 8, ... set the states that _growing finds on the
-    lazy iterate v + T v to inf, and another sweep follows.
+    lazy iterate v + T v to inf, and another sweep follows.  The mask of
+    infinite states is built only once a state is infinite, and again only
+    when a sweep adds one: an overflow, where the change is inf, or a
+    state that _growing finds.
     """
     if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     # the change inf - inf of a state already infinite is masked out, and
-    # the lazy iterate and _exceeds' bound overflow near the largest
+    # the lazy iterate and its growth bound overflow near the largest
     # float: no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.ones(n)
+        v, pinned = np.ones(n), None  # np.isinf(v), once a state is infinite
         for iterations in range(1, max_iters + 1):
-            pinned = np.isinf(v)
             tv = np.maximum(sweep(v), 1.0)
-            tv[pinned] = np.inf
+            if pinned is not None:
+                tv[pinned] = np.inf
             if (tv < v).any():
                 raise _non_monotone(v, tv)
-            change = ((tv - v) / v).max(where=~pinned, initial=0.0)
+            change = ((tv - v) / v).max() if pinned is None else \
+                ((tv - v) / v).max(where=~pinned, initial=0.0)
+            fresh = change == np.inf  # a state finite in v is inf in tv
             if change >= tol and iterations & (iterations - 1) == 0:
-                tv[_growing(operator, v + tv)] = np.inf
+                grow = _growing(operator, v + tv)
+                tv[grow] = np.inf
+                fresh = fresh or grow.any()
             v = tv
             if change < tol:
                 return v, iterations, True
+            if fresh:
+                pinned = np.isinf(v)
     return v, iterations, False
 
 
@@ -248,11 +277,10 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     finite.  Exhausting max_iters gives converged=False rather than an
     exception.
     """
-    weights = dtmdp.step_weights
-    adm = dtmdp.admissible_mask
+    values = _action_values(dtmdp)
 
     def sweep(v):
-        return np.where(adm, _masked_apply(weights, v), np.inf).min(axis=1)
+        return values(v).min(axis=1)
 
     vals, iterations, converged = _iterate(sweep, dtmdp.n_states, tol,
                                            max_iters, sweep)
@@ -337,7 +365,7 @@ def _certified_solve(d, gross, off, b):
         u = np.linalg.solve(a, np.ones(len(b)))
     except np.linalg.LinAlgError:  # exactly singular
         return None
-    bound = (len(b) + 1) * np.finfo(float).eps * (gross * u + off @ u)
+    bound = (len(b) + 1) * _EPS * (gross * u + off @ u)
     certified = u.min() > 0.0 and (a @ u - bound).min() > 0.0
     return x if certified and np.isfinite(x).all() else None
 
@@ -430,7 +458,7 @@ def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
         c(x,a) v(x) + sum_{y != x} rates(x,a,y) v(y) - total_rate(x,a) v(x),
     a signed real; an action with a positive rate into an infinite-value
     state contributes +inf to the minimum.  States with v(x) = inf are
-    skipped.
+    skipped.  A residual whose terms overflow is NaN: not computable.
     """
     n = model.n_states
     if len(v.values) != n:
@@ -439,9 +467,10 @@ def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
     safe, reaches = _zero_infinite(flat, v.values)
     # one dot product per row, bit for bit what row @ safe gives; a single
     # flat @ safe can round differently in the last bit
-    inflow = np.matmul(flat[:, None, :], safe[:, None]).reshape(n, -1)
-    candidate = (model.costs * safe[:, None] + inflow
-                 - model.total_rates * safe[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: inf - inf
+        inflow = np.matmul(flat[:, None, :], safe[:, None]).reshape(n, -1)
+        candidate = (model.costs * safe[:, None] + inflow
+                     - model.total_rates * safe[:, None])
     best = np.where(model.admissible_mask & ~reaches.reshape(n, -1),
                     candidate, np.inf).min(axis=1)
     states = np.flatnonzero(v.finite_mask)
@@ -451,9 +480,10 @@ def optimality_residual(model: CtmdpModel, v: ValueFunction) -> dict:
 def check_supersolution(model: CtmdpModel, u: ValueFunction,
                         solved: ValueFunction, tol: float = 1e-8) -> bool:
     """True iff u has nonnegative residual (within tol) at every finite-u
-    state and dominates the solved value pointwise."""
+    state and dominates the solved value pointwise; a residual that is not
+    computable (NaN) fails."""
     residuals = optimality_residual(model, u)
-    if any(r < -tol for r in residuals.values()):
+    if any(not r >= -tol for r in residuals.values()):
         return False
     return bool(np.all(u.values >= solved.values))
 
@@ -525,13 +555,14 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
     other stuck states (closed ones: c reaches no others), lazy power
     steps y <- y + T_c y, scaled to a largest entry of 1, run from the
     warm iterate z; T_c is the one-step operator on the columns of c.
-    A step where T_c y _exceeds y shows c infinite, as no finite V >= 1
-    has V >= T_c V (Nesterov and Protasov, SIAM J. Matrix Anal. Appl.
-    34(3), 2013), and the states whose greedy actions keep to states where
-    y _exceeds T_c y are finite under those actions.  Out of budget, or
-    with no better bound in len(c) steps, c is left undecided.  Returns
-    the states to switch and their actions; whether every class was shown
-    infinite, which matters only when none switches; and the budget left.
+    A step where T_c y exceeds _growth_bound(y) shows c infinite, as no
+    finite V >= 1 has V >= T_c V (Nesterov and Protasov, SIAM J. Matrix
+    Anal. Appl. 34(3), 2013), and the states whose greedy actions keep to
+    states where y exceeds _growth_bound(T_c y) are finite under those
+    actions.  Out of budget, or with no better bound in len(c) steps, c is
+    left undecided.  Returns the states to switch and their actions;
+    whether every class was shown infinite, which matters only when none
+    switches; and the budget left.
     """
     certified, todo = True, [stuck]
     while todo:
@@ -546,18 +577,19 @@ def _eigen_step(weights, adm, choice, stuck, z, budget):
         if len(classes) > 1:
             todo += [c[k] for k in reversed(classes)]
             continue
+        penalty = np.where(allowed, 0.0, np.inf)
         y = z[c] if np.isfinite(z[c]).all() else np.ones(len(c))
         low, high, idle, grew = 0.0, np.inf, 0, False
         while budget and idle < len(c) and not grew:
             budget -= 1
             y = y / y.max()
-            ty, pick = _argmin_admissible(block @ y, allowed)
-            grew = bool(_exceeds(ty, y).all())
+            ty, pick = _argmin_admissible(block @ y + penalty, allowed)
+            grew = bool((ty > _growth_bound(y)).all())
             ratio = ty / y  # inf where no action is left
             idle = 0 if ratio.min() > low or ratio.max() < high else idle + 1
             low, high = max(low, ratio.min()), min(high, ratio.max())
             fine = ~_reaching(block[np.arange(len(c)), pick] > 0.0,
-                              ~_exceeds(y, ty))
+                              ~(y > _growth_bound(ty)))
             if (pick != choice[c])[fine].any():
                 return c[fine], pick[fine], True, budget
             y = y + ty  # lazy, so that periodic classes converge too
@@ -570,6 +602,7 @@ def _policy_iterate(dtmdp: DtmdpModel, exact, max_iters: int) -> SolveReport:
     the continuous-time model it was reduced from."""
     rows = np.arange(dtmdp.n_states)
     weights, adm = dtmdp.step_weights, dtmdp.admissible_mask
+    values = _action_values(dtmdp)
     unit, unit_action = _unit_actions(dtmdp)
     vi = value_iterate(dtmdp, max_iters=min(WARM_SWEEPS, max_iters))
     budget = max_iters - vi.iterations
@@ -584,7 +617,7 @@ def _policy_iterate(dtmdp: DtmdpModel, exact, max_iters: int) -> SolveReport:
         budget -= 1
         u = evaluate_policy_linear(
             exact, StationaryPolicy(tuple(choice.tolist()))).values
-        after = np.where(adm, _masked_apply(weights, u), np.inf)
+        after = values(u)
         best, lowest = _argmin_admissible(after, adm)
         switch = best < after[rows, choice] * (1.0 - IMPROVE_RTOL)
         if not switch.any() and np.isinf(u).any():
@@ -636,6 +669,8 @@ def policy_iterate(dtmdp: DtmdpModel,
 def solve_ctmdp(model: CtmdpModel, max_iters: int = DEFAULT_MAX_ITERS):
     """Reduce, solve by policy iteration (policy_iterate), and attach the
     continuous-time optimality residual.  Returns (report, reduced model).
+    A residual that is not computable (NaN, its terms overflow) makes the
+    supremum inf.
 
     Each policy is evaluated on the continuous-time model, which keeps
     near-critical values exact (see _policy_system).
@@ -643,5 +678,6 @@ def solve_ctmdp(model: CtmdpModel, max_iters: int = DEFAULT_MAX_ITERS):
     dtmdp = build_equivalent_dtmdp(model)
     report = _policy_iterate(dtmdp, model, max_iters)
     residuals = optimality_residual(model, report.value)
-    sup = max((abs(r) for r in residuals.values()), default=0.0)
+    sup = max((np.inf if np.isnan(r) else abs(r)
+               for r in residuals.values()), default=0.0)
     return replace(report, sup_residual=float(sup)), dtmdp

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from riskctmdp import build_equivalent_dtmdp, cli, jsonio, validate_model
+from riskctmdp.solver import (ValueFunction, check_supersolution,
+                              optimality_residual)
 from conftest import OVERFLOWING_MODELS
 
 
@@ -509,3 +511,29 @@ def test_divergent_model_writes_no_warnings(tmp_path):
             capture_output=True, text=True, env=env, timeout=120)
         assert (result.returncode, result.stderr) == (0, ""), argv
     assert jsonio.loads(solved.read_text())["infinite_states"]
+
+
+def test_an_overflowing_residual_reads_inf(tmp_path):
+    """At q = 1e300 and c just below it the value of 'work' is about 1e11,
+    and c times it is beyond the float range: the residual's terms
+    overflow.  Under -W error the solve warns nothing and reports the
+    residual as "inf", not computable, where it read 0.0; the residual is
+    NaN and check_supersolution fails it."""
+    model = tmp_path / "model.json"
+    solved = tmp_path / "solve.json"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (
+            ["gen", "--kind", "two_state", "--params",
+             '{"q": 1e300, "c": 9.9999999999e299}', "--out", str(model)],
+            ["solve", str(model), "--out", str(solved)]):
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "riskctmdp.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (result.returncode, result.stderr) == (0, ""), argv
+    assert '"sup_residual": "inf"' in solved.read_text()
+    ctmdp = validate_model(jsonio.loads(model.read_text()))
+    values = jsonio.loads(solved.read_text())["values"]
+    value = ValueFunction([values[s] for s in ctmdp.states])
+    assert math.isnan(optimality_residual(ctmdp, value)[1])
+    assert not check_supersolution(ctmdp, value, value)

@@ -274,6 +274,56 @@ def test_policy_admissibility_checked():
     assert model.check_policy(StationaryPolicy((1, 0))).tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("choice, message", [
+    ((0, 1, 0, 1), "policy action 'a1' is not admissible at state 's1'"),
+    ((0, 0, 2, 1), "policy action index 2 out of range at state 's2'"),
+    ((0, 1, -1, 0), "policy action 'a1' is not admissible at state 's1'"),
+    ((0, 0, 0, -1), "policy action index -1 out of range at state 's3'"),
+], ids=["two-inadmissible", "out-of-range-first", "inadmissible-first",
+        "negative"])
+def test_policy_check_names_the_first_offending_state(choice, message):
+    """The whole choice is checked at once; the message names the first
+    state in state order that fails either rule."""
+    model = CtmdpModel(states=("s0", "s1", "s2", "s3"), actions=("a0", "a1"),
+                       admissible=((0, 1), (0,), (0, 1), (0,)),
+                       rates=np.zeros((4, 2, 4)), costs=np.zeros((4, 2)))
+    with pytest.raises(ModelError) as err:
+        model.check_policy(StationaryPolicy(choice))
+    assert str(err.value) == message
+
+
+def test_mask_and_policy_check_match_a_loop_per_state():
+    """The admissible mask is one scatter and the policy check one lookup;
+    on random non-empty admissible sets (as in test_oracle) both agree with
+    a walk over the states."""
+    rng = np.random.default_rng(7)
+    for n, m in ((1, 1), (2, 3), (9, 1), (16, 4), (64, 8)):
+        admissible = [rng.choice(m, rng.integers(1, m + 1),
+                                 replace=False).tolist() for _ in range(n)]
+        model = CtmdpModel(states=tuple(f"s{i}" for i in range(n)),
+                           actions=tuple(f"a{j}" for j in range(m)),
+                           admissible=admissible, rates=np.zeros((n, m, n)),
+                           costs=np.zeros((n, m)))
+        want = np.zeros((n, m), dtype=bool)
+        for x, acts in enumerate(admissible):
+            want[x, acts] = True
+        assert np.array_equal(model.admissible_mask, want)
+        for _ in range(20):
+            choice = rng.integers(-1, m + 1, n).tolist()
+            if rng.random() < 0.5:  # mostly admissible: one state may fail
+                choice = [rng.choice(acts) for acts in admissible]
+                choice[rng.integers(n)] = int(rng.integers(-1, m + 1))
+            choice = tuple(int(a) for a in choice)
+            admitted = all(0 <= a < m and want[x, a]
+                           for x, a in enumerate(choice))
+            try:
+                got = model.check_policy(StationaryPolicy(choice))
+            except ModelError:
+                assert not admitted, choice
+            else:
+                assert admitted and got.tolist() == list(choice), choice
+
+
 def test_a_model_is_not_equal_to_a_non_model(two_state):
     assert (two_state == "x") is False
     assert two_state != "x"
@@ -299,16 +349,24 @@ def test_model_holds_copies_of_the_callers_arrays():
     assert rates.flags.writeable and costs.flags.writeable
 
 
-@pytest.mark.parametrize("index", [1, -1], ids=["n_actions", "negative"])
-def test_admissible_index_out_of_range(index):
+@pytest.mark.parametrize("admissible, message", [
+    (((0,), (1,)), "admissible action index 1 out of range at state 'b'"),
+    (((0,), (-1,)), "admissible action index -1 out of range at state 'b'"),
+    (((0,), (0, 1), ()),
+     "admissible action index 1 out of range at state 'b'"),
+    (((0,), (), (1,)), "empty admissible set for state 'b'"),
+], ids=["n_actions", "negative", "then-empty", "empty-then-out-of-range"])
+def test_admissible_index_out_of_range(admissible, message):
     """An index past the last action used to raise a bare IndexError, and
-    -1 used to mark the last action admissible."""
-    with pytest.raises(ModelError,
-                       match=f"index {index} out of range at state 'b'"):
-        validate_model(CtmdpModel(states=("a", "b"), actions=("u",),
-                                  admissible=((0,), (index,)),
-                                  rates=np.zeros((2, 1, 2)),
-                                  costs=np.zeros((2, 1))))
+    -1 used to mark the last action admissible.  The sets are checked at
+    once; the message names the first offending state in state order."""
+    n = len(admissible)
+    with pytest.raises(ModelError) as err:
+        validate_model(CtmdpModel(states=("a", "b", "c")[:n], actions=("u",),
+                                  admissible=admissible,
+                                  rates=np.zeros((n, 1, n)),
+                                  costs=np.zeros((n, 1))))
+    assert str(err.value) == message
 
 
 def _arrays(rates=None, costs=None, admissible=((0,), (0,))):

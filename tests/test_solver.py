@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -225,7 +226,7 @@ class TestValueIterate:
                            [[[0.0, scale]], [[0.0, 1.0]]],
                            [[log_w], [0.0]])
         weight = float(chain.step_weights[0, 0, 1])
-        margin = 2 * (2 + 1) * float(np.finfo(float).eps)  # _exceeds', n=2
+        margin = 2 * (2 + 1) * float(np.finfo(float).eps)  # n=2
         assert math.isinf((1.0 + margin) * (1.0 + weight))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -319,8 +320,8 @@ def _min_action_gap(item):
     resolved by the index tie-break at any tolerance, so only strictly
     positive gaps can be flipped by solver noise.
     """
-    from riskctmdp.solver import _masked_apply
-    vals = _masked_apply(item.dtmdp.step_weights, item.report.value.values)
+    from riskctmdp.solver import _action_values
+    vals = _action_values(item.dtmdp)(item.report.value.values)
     gap = np.inf
     for x in range(item.model.n_states):
         acts = item.model.admissible[x]
@@ -551,9 +552,11 @@ class TestSolveReport:
 
 # The fixed-point loop and the sweep as plain as they can be: every sweep
 # floors, checks monotonicity, measures the change and stops on it, and the
-# value-iteration sweep computes the argmin and drops it.  Where no state
-# is infinite the loop must reproduce them bit for bit: its divergence
-# test then finds nothing and changes nothing.
+# value-iteration sweep masks inadmissible pairs with np.where, computes
+# the argmin and drops it.  Where no state is infinite the loop must
+# reproduce them bit for bit: its divergence test then finds nothing and
+# changes nothing.  Where some are, it must reproduce the same loop with
+# the divergence test written out plainly (_reference_growing_iterate).
 
 def _reference_masked_apply(weights, v):
     inf_mask = np.isinf(v)
@@ -588,6 +591,39 @@ def _reference_iterate(sweep, n, tol, max_iters):
         v = tv
         if change < tol:
             return v, iterations, True
+    return v, iterations, False
+
+
+def _reference_growing(operator, y):
+    """_growing as plainly as it can be: a np.where per pass, and the bound
+    formed per pass with np.finfo."""
+    grow = np.isfinite(y)
+    while grow.any():
+        kept = grow & (operator(np.where(grow, y, 0.0))
+                       > (1.0 + 2 * (len(y) + 1) * np.finfo(float).eps) * y)
+        if np.array_equal(kept, grow):
+            break
+        grow = kept
+    return grow
+
+
+def _reference_growing_iterate(sweep, n, tol, max_iters):
+    """The loop with its divergence test, every sweep building and applying
+    the mask of the states already infinite: on sweeps 1, 2, 4, ... the
+    states that _reference_growing finds on v + T v are set to inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.ones(n)
+        for iterations in range(1, max_iters + 1):
+            pinned = np.isinf(v)
+            tv = np.maximum(sweep(v), 1.0)
+            tv[pinned] = np.inf
+            assert not np.any(tv < v)
+            change = ((tv - v) / v).max(where=~pinned, initial=0.0)
+            if change >= tol and iterations & (iterations - 1) == 0:
+                tv[_reference_growing(sweep, v + tv)] = np.inf
+            v = tv
+            if change < tol:
+                return v, iterations, True
     return v, iterations, False
 
 
@@ -640,6 +676,44 @@ def _divergent():
         "birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1}, 0))
 
 
+def _restricted(kernel, step_cost, seed):
+    """A model on these arrays with a random non-empty admissible subset
+    at each state (as in test_oracle), so that some pairs are inadmissible
+    with weights of their own."""
+    n, m = step_cost.shape
+    rng = np.random.default_rng(seed)
+    admissible = [rng.choice(m, rng.integers(1, m + 1), replace=False).tolist()
+                  for _ in range(n)]
+    return DtmdpModel([f"s{i}" for i in range(n)],
+                      [f"a{j}" for j in range(m)], admissible, kernel,
+                      step_cost)
+
+
+def _restricted_random(seed):
+    full = build_equivalent_dtmdp(gen_example("random", {"n": 64, "m": 8},
+                                              seed))
+    return _restricted(full.kernel, full.step_cost, seed)
+
+
+def _leaking_into_growth(seed=1):
+    """The reduced `gen random` n=12 m=3 model beside the divergent
+    birth_death levels=5 one; the last action of each random state leaks
+    a tenth of its mass to the top level.  At seed 1, restricted, s5 is
+    left that action only and s10 one action into s5: with s13-s17 they
+    are infinite, the rest finite."""
+    finite = build_equivalent_dtmdp(gen_example("random", {"n": 12, "m": 3},
+                                                seed))
+    growing = build_equivalent_dtmdp(gen_example(
+        "birth_death", {"levels": 5, "birth": 3, "death": 1, "cost": 1}, 0))
+    n = 12 + growing.n_states
+    kernel, step_cost = np.zeros((n, 3, n)), np.zeros((n, 3))
+    kernel[:12, :, :12], step_cost[:12] = finite.kernel, finite.step_cost
+    kernel[12:, :, 12:], step_cost[12:] = growing.kernel, growing.step_cost
+    kernel[:12, 2] *= 0.9
+    kernel[:12, 2, n - 1] = 0.1
+    return _restricted(kernel, step_cost, seed)
+
+
 LOOP_CASES = [
     pytest.param(lambda: _two_state(0.99), {}, id="two_state-c0.99"),
     pytest.param(lambda: _two_state(0.999), {}, id="two_state-c0.999"),
@@ -653,14 +727,37 @@ LOOP_CASES = [
     pytest.param(periodic_class, {}, id="periodic-class"),
     pytest.param(lambda: _two_state(0.999), {"max_iters": 3},
                  id="max_iters-3"),
+    *(pytest.param(lambda seed=seed: _restricted_random(seed), {},
+                   id=f"random64x8-{seed}-restricted")
+      for seed in (1, 2)),
+    pytest.param(_leaking_into_growth, {}, id="restricted-leak-pinned"),
 ]
+
+
+# policy_iterate on the restricted cases: sha256 of the values' bytes, the
+# policy's action indices and the infinite states, pinned as computed with
+# np.where masking the inadmissible pairs
+RESTRICTED_SOLVED = {
+    "random64x8-1-restricted": (
+        "8b7e36354b8656c79be9fca6337cb3214adf087806b29c4c86cc125914d3d115",
+        "0630552662763563154444532652457740574577046453112466405547133212",
+        set()),
+    "random64x8-2-restricted": (
+        "4b4b647f0fc78ecadcf4bdfcdc21749a2941c192c11005c4a10f55f348e076ea",
+        "0230161544240637002641316562063763204012020137762342070154362743",
+        set()),
+    "restricted-leak-pinned": (
+        "10ae63f7eaa022184ca43d587a903083a3d2a45e19ee599435570369aea57e3b",
+        "100012001010020000", {5, 10, 13, 14, 15, 16, 17}),
+}
 
 
 def _check_loop(loop, dtmdp, sweep, tol=solver.DEFAULT_TOL,
                 max_iters=solver.DEFAULT_MAX_ITERS):
     """A loop on a finite case is the plain loop's over `sweep`, bit for
     bit.  The plain loop does not stop on a divergent case; there the loop
-    must converge to policy iteration's infinite set, which the exact
+    is the plain loop with its divergence test written out, bit for bit,
+    and must converge to policy iteration's infinite set, which the exact
     check proves, and to its values elsewhere."""
     values, iterations, converged = loop
     solved = policy_iterate(dtmdp)
@@ -669,6 +766,10 @@ def _check_loop(loop, dtmdp, sweep, tol=solver.DEFAULT_TOL,
         assert values.tobytes() == want[0].tobytes()
         assert (iterations, converged) == want[1:]
         return
+    want = _reference_growing_iterate(sweep, dtmdp.n_states, tol, max_iters)
+    assert np.array_equal(np.isinf(values), np.isinf(want[0]))
+    assert values.tobytes() == want[0].tobytes()
+    assert (iterations, converged) == want[1:]
     assert converged
     assert np.array_equal(np.isinf(values), ~solved.value.finite_mask)
     exact.assert_infinite_set(dtmdp, solved.infinite_states)
@@ -691,8 +792,8 @@ def _sweeps(dtmdp, policy=None):
 class TestLeanLoopMatchesReference:
     """value_iterate and evaluate_policy_iterative against _reference_iterate,
     the plain loop with no divergence test, bit for bit on finite cases; on
-    divergent ones, against policy iteration and the exact check (see
-    _check_loop).  The class keeps the name it had when value iteration
+    divergent ones, against _reference_growing_iterate bit for bit, and
+    against policy iteration and the exact check (see _check_loop).  The class keeps the name it had when value iteration
     had a second, lean loop body."""
 
     @pytest.mark.parametrize("build, kwargs", LOOP_CASES)
@@ -722,11 +823,27 @@ class TestLeanLoopMatchesReference:
         assert report.converged and report.infinite_states == {0}
         report = value_iterate(periodic_class())
         assert report.converged and report.infinite_states == {1, 2}
+        report = value_iterate(_leaking_into_growth())
+        assert report.converged
+        assert report.infinite_states == {5, 10, 13, 14, 15, 16, 17}
+
+    @pytest.mark.parametrize("build, kwargs", [
+        case for case in LOOP_CASES if case.id in RESTRICTED_SOLVED])
+    def test_policy_iterate_on_restricted_models(self, request, build,
+                                                 kwargs):
+        report = policy_iterate(build())
+        digest, policy, infinite = RESTRICTED_SOLVED[request.node.callspec.id]
+        assert hashlib.sha256(report.value.values.tobytes()).hexdigest() \
+            == digest
+        assert "".join(map(str, report.policy.choice)) == policy
+        assert report.infinite_states == infinite
+        assert report.converged
 
     @pytest.mark.parametrize("build, kwargs", [
         case for case in LOOP_CASES if case.id in (
             "random64x8-1", "birth_death63-pinned",
-            "pinned-ahead-of-successor", "max_iters-3")])
+            "pinned-ahead-of-successor", "max_iters-3",
+            "restricted-leak-pinned")])
     def test_evaluate_policy_iterative(self, monkeypatch, build, kwargs):
         dtmdp = build()
         policy = value_iterate(dtmdp).policy
