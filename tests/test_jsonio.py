@@ -182,7 +182,8 @@ def ctmdps(draw):
     rate *= _grid(draw, (n, m, n), st.booleans())
     rate[np.arange(n), :, np.arange(n)] = 0.0
     cost = np.abs(_grid(draw, (n, m), floats))
-    cost[~np.isfinite(cost)] = 1.0
+    # 1 + max cost + max total rate stays finite, as the model requires
+    cost[~np.isfinite(cost) | (cost > 1e300)] = 1.0
     return CtmdpModel(
         states=draw(st.lists(names, min_size=n, max_size=n, unique=True)),
         actions=draw(st.lists(names, min_size=m, max_size=m, unique=True)),
