@@ -35,8 +35,7 @@ _HOMES = {
     "optimality_residual": "solver", "parse_policy": "model",
     "policy_iterate": "solver", "sample_trajectory": "simulate",
     "solve_ctmdp": "solver", "trajectory_stream": "simulate",
-    "uniformization_weight": "reduction", "validate_model": "model",
-    "value_iterate": "solver",
+    "validate_model": "model", "value_iterate": "solver",
 }
 
 __all__ = list(_HOMES)

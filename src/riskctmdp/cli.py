@@ -142,7 +142,10 @@ def _cmd_oracle(args):
     for h in range(1, args.horizon + 1):
         sweep = solver.bellman_apply(dtmdp, sweep)[0]
         exact = solver.finite_horizon_oracle(dtmdp, h)
-        gap = float(np.max(np.abs(sweep.values - exact.values)))
+        # 0 where the two agree, also where both are inf (not inf - inf)
+        gap = float(np.max(np.abs(np.subtract(
+            sweep.values, exact.values, out=np.zeros(dtmdp.n_states),
+            where=sweep.values != exact.values))))
         per_horizon[str(h)] = gap
         worst = max(worst, gap)
     status = EXIT_OK if worst <= ORACLE_MATCH_TOL else EXIT_ORACLE_MISMATCH

@@ -46,16 +46,30 @@ def _unique_names(names, what: str) -> tuple:
 _SELF_LOOP = "explicit self-loop rate at {}; the diagonal is implied"
 
 
+def _indices(values) -> bool:
+    """Whether all values are ints or numpy integers, not bools, by type."""
+    return all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
+def _check_index(a, m: int, what: str, state: str) -> None:
+    """Raise unless the action index a is an integer in 0..m-1."""
+    if not _indices((a,)):
+        raise ModelError(f"{what} action index {a!r} at state '{state}' is "
+                         "not an integer")
+    if not 0 <= a < m:
+        raise ModelError(
+            f"{what} action index {a} out of range at state '{state}'")
+
+
 def _refuse_admissible(states: tuple, admissible: tuple, m: int) -> None:
     """Raise for the first state, in state order, whose admissible set is
-    empty or holds an index out of range."""
-    for x, acts in enumerate(admissible):
+    empty or holds a value that _check_index refuses."""
+    for state, acts in zip(states, admissible):
         if not acts:
-            raise ModelError(f"empty admissible set for state '{states[x]}'")
+            raise ModelError(f"empty admissible set for state '{state}'")
         for a in acts:
-            if not 0 <= a < m:
-                raise ModelError(f"admissible action index {a} out of range "
-                                 f"at state '{states[x]}'")
+            _check_index(a, m, "admissible", state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +96,9 @@ class IndexedModel:
         states = _unique_names(self.states, "state")
         actions = _unique_names(self.actions, "action")
         n, m = len(states), len(actions)
+        if self.admissible is not None and not _indices(
+                chain.from_iterable(self.admissible)):
+            _refuse_admissible(states, self.admissible, m)
         admissible = ((tuple(range(m)),) * n if self.admissible is None
                       else tuple(tuple(sorted(set(acts)))
                                  for acts in self.admissible))
@@ -145,11 +162,9 @@ class IndexedModel:
                 np.ravel_multi_index((np.arange(n), choice), (n, m))]) == n
         except (ValueError, TypeError):  # out of range, or not an integer
             admitted = False
-        if not admitted:
+        if not admitted or not _indices(policy.choice):
             for x, a in enumerate(policy.choice):
-                if not 0 <= a < m:
-                    raise ModelError(f"policy action index {a} out of range "
-                                     f"at state '{self.states[x]}'")
+                _check_index(a, m, "policy", self.states[x])
                 if a not in self.admissible[x]:
                     raise ModelError(
                         f"policy action '{self.actions[a]}' is not admissible"
@@ -187,18 +202,17 @@ class CtmdpModel(IndexedModel):
 
     rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
     costs[x, a] the cost rate; both must be finite and nonnegative.
-    total_rates, max_total_rate and max_cost_rate are cached over
-    admissible actions.  Every total rate and every state's weight
-    1 + max_cost_rate + max_total_rate must be a float too: all that the
-    reduction and the generator-form evaluator derive from the rates lies
-    under that weight.
+    total_rates is cached, and weight[x] = 1 + max cost rate + max total
+    rate over the admissible actions of x: the reduction's weight, its
+    smallest admissible choice, with w - c >= 1 + max total rate.  Every
+    total rate and every weight must be a float too: all that the reduction
+    and the generator-form evaluator derive from the rates lies under it.
     """
 
     rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
     costs: np.ndarray  # (n_states, n_actions)
     total_rates: np.ndarray = field(init=False, repr=False)  # (n, m)
-    max_total_rate: np.ndarray = field(init=False, repr=False)  # (n,)
-    max_cost_rate: np.ndarray = field(init=False, repr=False)  # (n,)
+    weight: np.ndarray = field(init=False, repr=False)  # (n,)
 
     _ARRAYS = ("rates", "costs")
 
@@ -223,9 +237,8 @@ class CtmdpModel(IndexedModel):
         adm_mask = self.admissible_mask
         with np.errstate(over="ignore"):
             total = self.rates.sum(axis=2)
-            max_total = np.where(adm_mask, total, 0.0).max(axis=1)
-            max_cost = np.where(adm_mask, self.costs, 0.0).max(axis=1)
-            weight = 1.0 + max_cost + max_total
+            weight = (1.0 + np.where(adm_mask, self.costs, 0.0).max(axis=1)
+                      + np.where(adm_mask, total, 0.0).max(axis=1))
         bad = np.argwhere(np.isinf(total))
         if len(bad):
             raise ModelError(
@@ -236,10 +249,8 @@ class CtmdpModel(IndexedModel):
                 f"weight 1 + max cost rate + max total rate of state "
                 f"'{self.states[bad[0]]}' is beyond the float range")
         object.__setattr__(self, "total_rates", total)
-        object.__setattr__(self, "max_total_rate", max_total)
-        object.__setattr__(self, "max_cost_rate", max_cost)
-        for arr in (self.rates, self.costs, self.total_rates,
-                    self.max_total_rate, self.max_cost_rate):
+        object.__setattr__(self, "weight", weight)
+        for arr in (self.rates, self.costs, total, weight):
             arr.setflags(write=False)
 
     def to_dict(self) -> dict:

@@ -1,6 +1,6 @@
 """Reduction of a continuous-time model to an equivalent discrete-time one.
 
-Each state receives a weight w(x) = 1 + max_cost_rate(x) + max_total_rate(x).
+Each state receives its weight w(x) = 1 + max cost rate + max total rate.
 Dividing the rate kernel by w and returning the leftover mass to the state
 itself yields a proper stochastic kernel, and charging ln(w/(w - c)) per
 step, a cost of the state and action only, makes the exponential-utility
@@ -95,36 +95,24 @@ class DtmdpModel(IndexedModel):
         return {**self._names_dict(), "kernel": kernel, "log_cost": log_cost}
 
 
-def uniformization_weight(model: CtmdpModel) -> np.ndarray:
-    """Per-state weight 1 + max cost rate + max total rate.
-
-    This is the smallest admissible choice; it minimizes the self-loop
-    mass of the embedded chain.  It guarantees w(x) >= 1 and
-    w(x) - c(x, a) >= 1 + max_total_rate(x) > 0 for every admissible a.
-    """
-    return 1.0 + model.max_cost_rate + model.max_total_rate
-
-
 def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     """Embed the jump process into a discrete-time model with equal value.
 
     kernel(x,a)[y] = rates(x,a,y)/w(x) for y != x, with the leftover mass
     1 - total_rate(x,a)/w(x) kept at x; step_cost(x,a) =
-    ln(w(x)/(w(x) - c(x,a))).  Inadmissible pairs get an identity row at
-    zero cost so that every row stays stochastic.
+    ln(w(x)/(w(x) - c(x,a))), w = model.weight, with the slack w - c, at
+    least 1 + max total rate, floored at 1 where rounding took it lower:
+    every model that CtmdpModel accepts reduces.  Inadmissible pairs get
+    an identity row at zero cost so that every row stays stochastic.
     """
     n = model.n_states
-    w = uniformization_weight(model)
+    w = model.weight
     adm = model.admissible_mask
     kernel = model.rates / w[:, None, None]
     idx = np.arange(n)
     kernel[idx, :, idx] = 1.0 - model.total_rates / w[:, None]
-    # w - c > 0 is only guaranteed for admissible pairs; inadmissible rows
-    # become identity rows at zero cost so every row stays stochastic
-    denom = np.where(adm, w[:, None] - model.costs, 1.0)
-    step_cost = np.log(np.where(adm, w[:, None], 1.0) / denom)
-    x, a = np.nonzero(~adm)
-    kernel[x, a, :] = 0.0
-    kernel[x, a, x] = 1.0
+    step_cost = np.where(adm, np.log(w[:, None] / np.maximum(
+        w[:, None] - model.costs, 1.0)), 0.0)
+    kernel[~adm] = np.eye(n)[np.nonzero(~adm)[0]]
     return DtmdpModel(model.states, model.actions, model.admissible, kernel,
                       step_cost)

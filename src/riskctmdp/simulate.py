@@ -289,27 +289,30 @@ def _walk(tables, x, key, index, n_steps: int, costs, finals):
     lane = np.arange(len(x))
     cost = np.zeros(len(x))
     ahead = first = 0  # draws hold blocks first .. first + ahead - 1
-    for k in range(n_steps):
-        stop = tables.stop[x]
-        if stop.any():
-            costs[lane[stop]] = cost[stop]
-            finals[lane[stop]] = x[stop]
-            keep = ~stop
-            lane, x, cost, key, index = (lane[keep], x[keep], cost[keep],
-                                         key[keep], index[keep])
-            if not len(lane):
-                return
-            if ahead:
-                draws = draws[keep]
-        block = k // per_block
-        if block == first + ahead:
-            first = block
-            ahead = min(max(1, _BLOCK_TARGET // len(lane)),
-                        -(-n_steps // per_block) - block)
-            draws = _uniforms(key, index, first, ahead)
-        j = width * k - 4 * first
-        x, increment = tables.step(x, draws[:, j:j + width])
-        cost += increment
+    # a cost increment or a running cost beyond the float range is inf,
+    # which the estimate reports: no warning
+    with np.errstate(over="ignore"):
+        for k in range(n_steps):
+            stop = tables.stop[x]
+            if stop.any():
+                costs[lane[stop]] = cost[stop]
+                finals[lane[stop]] = x[stop]
+                keep = ~stop
+                lane, x, cost, key, index = (lane[keep], x[keep], cost[keep],
+                                             key[keep], index[keep])
+                if not len(lane):
+                    return
+                if ahead:
+                    draws = draws[keep]
+            block = k // per_block
+            if block == first + ahead:
+                first = block
+                ahead = min(max(1, _BLOCK_TARGET // len(lane)),
+                            -(-n_steps // per_block) - block)
+                draws = _uniforms(key, index, first, ahead)
+            j = width * k - 4 * first
+            x, increment = tables.step(x, draws[:, j:j + width])
+            cost += increment
     costs[lane] = cost
     finals[lane] = x
 

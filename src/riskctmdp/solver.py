@@ -127,18 +127,19 @@ class SolveReport:
 
 
 def _zero_infinite(flat: np.ndarray, v: np.ndarray):
-    """The 0·inf = 0 convention for flat @ v: v with its infinite entries
-    zeroed, and which rows of flat put positive weight on one of them,
-    where the product is +inf."""
+    """The 0·inf = 0 convention for flat @ v, v a vector or a matrix: v
+    with its infinite entries zeroed, and where flat @ v puts positive
+    weight on one of them, where the product is +inf."""
     inf_mask = np.isinf(v)
+    rows = inf_mask.reshape(len(v), -1).any(axis=1)  # rows of v with an inf
     return (np.where(inf_mask, 0.0, v),
-            (flat[:, inf_mask] > 0.0).any(axis=1))
+            (flat[:, rows] > 0.0) @ inf_mask[rows])
 
 
 def _masked_apply(flat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """flat @ v, flat a 2-D array of weights, with zero weights absorbing
-    infinite values of v; a product that overflows is inf, which is
-    divergence: no warning."""
+    """flat @ v, flat a 2-D array of weights and v a vector or a matrix,
+    with zero weights absorbing infinite values of v; a product that
+    overflows is inf, which is divergence: no warning."""
     with np.errstate(over="ignore"):
         if v.max() < np.inf:  # no entry is infinite (or NaN)
             return flat @ v
@@ -318,9 +319,10 @@ def _policy_system(model, choice: np.ndarray):
     On the discrete-time model d = 1 - W(x, x) and inflow is W off the
     diagonal, W the policy's step weights.  On the continuous-time model
     these equations times w(x) - c(x) read d = total rate - cost rate and
-    inflow = rates: the uniformization weight cancels, and d keeps every
-    digit when the cost rate is close to the total rate, where 1 - W(x, x)
-    has lost them to rounding.
+    inflow = rates: the weight CtmdpModel.weight cancels, the reduction's
+    floor on w - c plays no part, and d keeps every digit when the cost
+    rate is close to the total rate, where 1 - W(x, x) has lost them to
+    rounding.
     """
     rows = np.arange(model.n_states)
     if isinstance(model, CtmdpModel):
@@ -501,7 +503,10 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     The costs of a strategy's last k steps from every state form one
     column.  A table picks one action per state, so each step multiplies
     the columns by each action's weights once, and the column that
-    prepends table t takes its row x from action t(x)'s product.
+    prepends table t takes its row x from action t(x)'s product.  The
+    products follow the one-step operator's conventions (_masked_apply):
+    a zero weight times an infinite cost is 0, and a product that
+    overflows is inf.
     """
     n, m = dtmdp.n_states, dtmdp.n_actions
     if horizon < 0:
@@ -519,9 +524,13 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
     states = np.arange(n)[:, None]
     costs = np.ones((n, 1))
     for _ in range(horizon - 1):  # columns ordered table-major
-        costs = (by_action @ costs)[tables, states].reshape(n, -1)
+        products = np.empty((m, *costs.shape))
+        for a, mat in enumerate(by_action):
+            products[a] = _masked_apply(mat, costs)
+        costs = products[tables, states].reshape(n, -1)
     # one action's product at a time keeps the peak at two cost sets
-    lows = np.array([(mat @ costs).min(axis=1) for mat in by_action])
+    lows = np.array([_masked_apply(mat, costs).min(axis=1)
+                     for mat in by_action])
     best = np.where(dtmdp.admissible_mask.T, lows, np.inf).min(axis=0)
     return ValueFunction(np.maximum(best, 1.0))
 

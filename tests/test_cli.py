@@ -537,3 +537,42 @@ def test_an_overflowing_residual_reads_inf(tmp_path):
     value = ValueFunction([values[s] for s in ctmdp.states])
     assert math.isnan(optimality_residual(ctmdp, value)[1])
     assert not check_supersolution(ctmdp, value, value)
+
+
+@pytest.mark.parametrize("c", ["1e17", "1e300", "1e308"])
+def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
+    """At q = 1 and c from 1e17 up, w - c of 'work' rounds below 1, to 0
+    where it cancels; the reduction floors it at 1.  The model validates,
+    so every command runs on it under -W error, with empty stderr, and
+    'work' is infinite."""
+    model, policy = tmp_path / "model.json", tmp_path / "policy.json"
+    policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
+                                               "work": "a0"}}))
+    commands = {
+        "gen": ["--kind", "two_state", "--params",
+                f'{{"q": 1, "c": {c}}}'],
+        "validate": [str(model)], "reduce": [str(model)],
+        "solve": [str(model)],
+        "evaluate": [str(model), "--policy", str(policy)],
+        "simulate": [str(model), "--policy", str(policy), "--n", "1000"],
+        "oracle": [str(model), "--horizon", "3"],
+    }
+    out = {name: model if name == "gen" else tmp_path / f"{name}.json"
+           for name in commands}
+    argvs = [[name, *args, "--out", str(out[name])]
+             for name, args in commands.items()]
+    code = ("import json, sys; from riskctmdp import cli; "
+            "print(json.dumps([cli.main(a) for a in json.loads(sys.argv[1])]))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, jsonio.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert jsonio.loads(result.stdout) == [0] * len(commands)
+    reports = {name: jsonio.loads(path.read_text())
+               for name, path in out.items()}
+    assert reports["solve"]["values"]["work"] == "inf"
+    assert reports["simulate"]["estimates"]["work"]["mean"] == "inf"
+    assert reports["oracle"]["per_horizon_discrepancy"] == {
+        "1": 0.0, "2": 0.0, "3": 0.0}

@@ -25,7 +25,7 @@ PUBLIC = [
     "ext_exp", "ext_mul", "ext_sub_clamped", "finite_horizon_oracle",
     "gen_example", "optimality_residual", "parse_policy", "policy_iterate",
     "sample_trajectory", "solve_ctmdp", "trajectory_stream",
-    "uniformization_weight", "validate_model", "value_iterate",
+    "validate_model", "value_iterate",
 ]
 
 # the short names of the riskctmdp.* modules loaded, sorted

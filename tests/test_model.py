@@ -21,16 +21,14 @@ def test_validate_two_state_caches():
     assert model.states == ("absorb", "work")
     assert model.total_rates[1, 0] == 4.0
     assert model.total_rates[0, 0] == 0.0
-    assert model.max_total_rate.tolist() == [0.0, 4.0]
-    assert model.max_cost_rate.tolist() == [0.0, 1.0]
+    assert model.weight.tolist() == [1.0, 6.0]  # 1 + max cost + max total
     # admissible defaults to every action
     assert model.admissible == ((0,), (0,))
 
 
 @pytest.mark.parametrize("name, value", [
     ("total_rates", np.full((2, 1), 99.0)),
-    ("max_total_rate", np.full(2, 99.0)),
-    ("max_cost_rate", np.full(2, 99.0))])
+    ("weight", np.full(2, 99.0))])
 def test_derived_arrays_are_not_constructor_arguments(name, value):
     """The model derives these from rates and costs; a value passed in
     would be silently overwritten, so passing one is an error."""
@@ -118,7 +116,7 @@ def test_total_rate_pure_birth():
     model = gen_example("pure_birth", {"N": 4, "kappa": 1.0}, 0)
     assert model.total_rates[2, 0] == 8.0  # rate doubles per level
     assert model.total_rates[4, 0] == 0.0
-    assert model.max_total_rate.tolist() == [2.0, 4.0, 8.0, 16.0, 0.0]
+    assert model.weight.tolist() == [4.0, 6.0, 10.0, 18.0, 1.0]
 
 
 def test_admissible_restricts_cached_maxima():
@@ -136,9 +134,8 @@ def test_admissible_restricts_cached_maxima():
         ],
     }
     model = validate_model(raw)
-    # inadmissible entries are stored but excluded from the cached maxima
-    assert model.max_total_rate[1] == 4.0
-    assert model.max_cost_rate[1] == 1.0
+    # inadmissible entries are stored but excluded from the weight's maxima
+    assert model.weight[1] == 6.0  # 1 + 1 + 4
 
 
 def test_gen_two_state_matches_fixture():
@@ -272,6 +269,15 @@ def test_policy_admissibility_checked():
     with pytest.raises(ModelError, match="not admissible"):
         model.check_policy(StationaryPolicy((0, 1)))
     assert model.check_policy(StationaryPolicy((1, 0))).tolist() == [1, 0]
+    assert model.check_policy(
+        StationaryPolicy((np.int64(1), np.int32(0)))).tolist() == [1, 0]
+    # an index must be an integer: 1.0 used to pass as action 1, and the
+    # others raised TypeError
+    for bad in (0.5, None, "a0", 1.0, True, np.float64(0.0)):
+        with pytest.raises(ModelError) as err:
+            model.check_policy(StationaryPolicy((0, bad)))
+        assert str(err.value) == (f"policy action index {bad!r} at state "
+                                  "'work' is not an integer")
 
 
 @pytest.mark.parametrize("choice, message", [
@@ -279,8 +285,10 @@ def test_policy_admissibility_checked():
     ((0, 0, 2, 1), "policy action index 2 out of range at state 's2'"),
     ((0, 1, -1, 0), "policy action 'a1' is not admissible at state 's1'"),
     ((0, 0, 0, -1), "policy action index -1 out of range at state 's3'"),
+    ((0, 0, 2 ** 70, 1),
+     f"policy action index {2 ** 70} out of range at state 's2'"),
 ], ids=["two-inadmissible", "out-of-range-first", "inadmissible-first",
-        "negative"])
+        "negative", "beyond-int64"])
 def test_policy_check_names_the_first_offending_state(choice, message):
     """The whole choice is checked at once; the message names the first
     state in state order that fails either rule."""
@@ -355,11 +363,29 @@ def test_model_holds_copies_of_the_callers_arrays():
     (((0,), (0, 1), ()),
      "admissible action index 1 out of range at state 'b'"),
     (((0,), (), (1,)), "empty admissible set for state 'b'"),
-], ids=["n_actions", "negative", "then-empty", "empty-then-out-of-range"])
+    (((0.0,),), "admissible action index 0.0 at state 'a' is not an integer"),
+    (((None,),), "admissible action index None at state 'a' is not an "
+                 "integer"),
+    (((0,), (0, None)), "admissible action index None at state 'b' is not "
+                        "an integer"),
+    (((0,), (1.0,), (0.5,)), "admissible action index 1.0 at state 'b' is "
+                             "not an integer"),
+    (((0,), (True,)), "admissible action index True at state 'b' is not an "
+                      "integer"),
+    (((0,), ("u",)), "admissible action index 'u' at state 'b' is not an "
+                     "integer"),
+    (((0,), (np.int64(0),), (np.int32(3),)),
+     "admissible action index 3 out of range at state 'c'"),
+    (((0,), (2 ** 70,)),
+     f"admissible action index {2 ** 70} out of range at state 'b'"),
+], ids=["n_actions", "negative", "then-empty", "empty-then-out-of-range",
+        "float", "none", "unorderable", "float-first", "bool", "str",
+        "numpy-int", "beyond-int64"])
 def test_admissible_index_out_of_range(admissible, message):
     """An index past the last action used to raise a bare IndexError, and
-    -1 used to mark the last action admissible.  The sets are checked at
-    once; the message names the first offending state in state order."""
+    -1 used to mark the last action admissible; an index that is not an
+    integer raised TypeError.  The sets are checked at once; the message
+    names the first offending state in state order."""
     n = len(admissible)
     with pytest.raises(ModelError) as err:
         validate_model(CtmdpModel(states=("a", "b", "c")[:n], actions=("u",),

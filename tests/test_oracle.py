@@ -3,6 +3,7 @@ check of the oracle itself on tiny instances."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from riskctmdp.model import gen_example
 from riskctmdp.reduction import DtmdpModel, build_equivalent_dtmdp
 from riskctmdp.solver import (ORACLE_BUDGET, ORACLE_MAX_HORIZON,
-                              OracleGuardError, ValueFunction, bellman_apply,
-                              finite_horizon_oracle)
+                              OracleGuardError, ValueFunction, _masked_apply,
+                              bellman_apply, finite_horizon_oracle)
 
 
 def _path_sum_value(dtmdp, strategy, x0, horizon):
@@ -143,3 +144,34 @@ def test_oracle_respects_admissible_sets():
         sweep = bellman_apply(dtmdp, sweep)[0]
         oracle = finite_horizon_oracle(dtmdp, h)
         assert np.max(np.abs(sweep.values - oracle.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_an_overflowing_cost_meets_a_zero_weight(horizon):
+    """'hot' loops on itself at a cost factor of e^700, about 1e304, so
+    its two-step cost overflows to inf; 'cold' loops at no cost and puts
+    zero weight on 'hot'.  As in the one-step operator, the overflow is
+    inf without a warning and 0 * inf is 0, not NaN."""
+    kernel = np.zeros((2, 1, 2))
+    kernel[0, 0, 0] = kernel[1, 0, 1] = 1.0
+    dtmdp = DtmdpModel(("hot", "cold"), ("a",), None, kernel, [[700.0], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = finite_horizon_oracle(dtmdp, horizon)
+        sweep = ValueFunction.constant(2)
+        for _ in range(horizon):
+            sweep = bellman_apply(dtmdp, sweep)[0]
+    assert exact.values.tolist() == sweep.values.tolist() == [np.inf, 1.0]
+
+
+def test_masked_apply_on_a_matrix_is_column_by_column():
+    """The oracle's products apply the one-step operator's 0 * inf = 0
+    rule to a matrix of costs, column by column; small integers keep every
+    sum exact."""
+    rng = np.random.default_rng(5)
+    flat = rng.integers(0, 3, (6, 4)).astype(float)
+    v = rng.integers(1, 5, (4, 7)).astype(float)
+    v[rng.random((4, 7)) < 0.3] = np.inf
+    got = _masked_apply(flat, v)
+    for k in range(v.shape[1]):
+        assert got[:, k].tolist() == _masked_apply(flat, v[:, k]).tolist()

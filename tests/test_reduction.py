@@ -3,41 +3,89 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskctmdp import estimate_dtmdp_value_mc, jsonio
-from riskctmdp.model import (ModelError, StationaryPolicy, gen_example,
-                             validate_model)
-from riskctmdp.reduction import (DtmdpModel, build_equivalent_dtmdp,
-                                 uniformization_weight)
+from riskctmdp.model import (CtmdpModel, ModelError, StationaryPolicy,
+                             gen_example, validate_model)
+from riskctmdp.reduction import (ROW_SUM_TOL, DtmdpModel,
+                                 build_equivalent_dtmdp)
 from riskctmdp.solver import (ValueFunction, bellman_apply,
                               evaluate_policy_iterative,
                               evaluate_policy_linear, optimality_residual)
 
 
 def test_weight_two_state(two_state):
-    assert uniformization_weight(two_state).tolist() == [1.0, 6.0]
+    assert two_state.weight.tolist() == [1.0, 6.0]
 
 
 def test_weight_all_absorbing_zero_cost():
     model = validate_model({"states": ["a", "b"], "actions": ["u"],
                             "rates": [], "costs": []})
-    assert uniformization_weight(model).tolist() == [1.0, 1.0]
+    assert model.weight.tolist() == [1.0, 1.0]
 
 
 def test_weight_pure_birth(pure_birth):
-    w = uniformization_weight(pure_birth)
+    w = pure_birth.weight
     assert w[2] == 10.0  # 1 + 1 + 8
     assert w.tolist() == [4.0, 6.0, 10.0, 18.0, 1.0]
 
 
 def test_weight_dominates_costs_and_rates(monotone_corpus):
     for item in monotone_corpus[:25]:
-        w = uniformization_weight(item.model)
+        model = item.model
+        w = model.weight
         assert np.all(w >= 1.0)
-        for x in range(item.model.n_states):
-            for a in item.model.admissible[x]:
-                assert w[x] - item.model.costs[x, a] >= \
-                    1.0 + item.model.max_total_rate[x] - 1e-12
+        max_total = np.where(model.admissible_mask, model.total_rates,
+                             0.0).max(axis=1)
+        for x in range(model.n_states):
+            for a in model.admissible[x]:
+                assert w[x] - model.costs[x, a] >= 1.0 + max_total[x] - 1e-12
+
+
+# rates and cost rates log-uniform over [1e-300, 1e308], and zeros
+_MAGNITUDES = st.one_of(st.just(0.0),
+                        st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _arrays(draw):
+    """Rates, cost rates and random non-empty admissible sets of a model
+    with up to 4 states and 3 actions."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rates = np.array(draw(st.lists(_MAGNITUDES, min_size=n * m * n,
+                                   max_size=n * m * n))).reshape(n, m, n)
+    rates[np.arange(n), :, np.arange(n)] = 0.0
+    costs = np.array(draw(st.lists(_MAGNITUDES, min_size=n * m,
+                                   max_size=n * m))).reshape(n, m)
+    admissible = [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+                  for _ in range(n)]
+    return rates, costs, admissible
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arrays())
+def test_every_model_that_validates_reduces(arrays):
+    """Whenever CtmdpModel accepts a model, the reduction builds its
+    discrete-time model without a warning: every admissible cost factor
+    is a float of at least 1 and every kernel row is stochastic, also
+    where a cost rate dwarfs 1 + max total rate and w - c cancels."""
+    rates, costs, admissible = arrays
+    n, m = costs.shape
+    try:
+        model = CtmdpModel(tuple(f"s{x}" for x in range(n)),
+                           tuple(f"a{a}" for a in range(m)), admissible,
+                           rates, costs)
+    except ModelError:  # a total rate or a weight beyond the float range
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dtmdp = build_equivalent_dtmdp(model)
+        factor = np.exp(dtmdp.step_cost[model.admissible_mask])
+    assert np.isfinite(factor).all() and (factor >= 1.0).all()
+    assert (dtmdp.kernel >= 0.0).all()
+    assert (np.abs(dtmdp.kernel.sum(axis=2) - 1.0) <= ROW_SUM_TOL).all()
 
 
 def test_reduce_two_state(two_state):
@@ -102,7 +150,7 @@ def test_reduction_preserves_index_spaces(monotone_corpus):
 
 def _per_action_quantities(model, dtmdp, v):
     """Continuous-time residual and one-step values action by action."""
-    w = uniformization_weight(model)
+    w = model.weight
     rows = []
     for x in range(model.n_states):
         for a in model.admissible[x]:

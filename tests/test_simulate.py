@@ -153,12 +153,18 @@ class TestEstimates:
         assert est.std_error is None
         assert est.lower_bound_mean == 1.0
 
-    @pytest.mark.parametrize("x0", [30, 62])
-    def test_overflow_to_infinity_warns_nothing(self, x0):
+    @pytest.mark.parametrize("kind, params, x0", [
+        ("birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1},
+         30),
+        ("birth_death", {"levels": 63, "birth": 3, "death": 1, "cost": 1},
+         62),
+        ("two_state", {"q": 1, "c": 1e308}, 1),
+    ], ids=["30", "62", "two_state-c1e308"])
+    def test_overflow_to_infinity_warns_nothing(self, kind, params, x0):
         """e^cost of a long divergent path overflows to inf, which is the
-        estimate; numpy must not report that as a warning."""
-        model = gen_example("birth_death", {"levels": 63, "birth": 3,
-                                            "death": 1, "cost": 1}, 0)
+        estimate, and so does a cost rate of 1e308 times a sojourn above
+        1.8; numpy must not report either as a warning."""
+        model = gen_example(kind, params, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = estimate_value_mc(model, only_policy(model), x0, 100, 0)
