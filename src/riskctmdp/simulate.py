@@ -84,9 +84,10 @@ class McEstimate:
 
     std_error is None when some sample is infinite or the sample tail
     fails the sanity check (max sample <= half the sample sum); it is 0
-    when all samples coincide.  lower_bound_mean averages e^{finite part
-    of the cost}, an underestimate whenever paths were truncated or
-    absorbed at positive cost.
+    when all samples coincide, and then mean and lower_bound_mean are that
+    sample exactly.  lower_bound_mean averages e^{finite part of the
+    cost}, an underestimate whenever paths were truncated or absorbed at
+    positive cost.
 
     Known limit: the tail check only looks at the largest sample, so
     std_error can be finite when the variance of e^{cost} is infinite.
@@ -253,8 +254,9 @@ def sample_trajectory(model: CtmdpModel, policy: StationaryPolicy, x0: int,
 
 class _ChainTables:
     """Per-state step data for one (discrete-time model, policy), with one
-    step cost per state; a state stops the chain when its row is the
-    identity at zero step cost."""
+    step cost per state.  A state whose row is the identity stops the
+    chain, as zero total rate stops the jump walk; its cost is infinite
+    when its step cost is positive, as the chain would pay it forever."""
 
     draws_per_step = 1
 
@@ -265,9 +267,9 @@ class _ChainTables:
         self.cums, self.targets, self.last = _cumulative(rows, positive)
         self.totals = self.cums[states, self.last]
         self.step_costs = dtmdp.step_cost[states, choice]
-        self.stop = (~np.any(positive & ~np.eye(len(states), dtype=bool),
-                             axis=1) & (self.step_costs == 0.0))
-        self.infinite = np.zeros(dtmdp.n_states, dtype=bool)
+        self.stop = ~np.any(positive & ~np.eye(len(states), dtype=bool),
+                            axis=1)
+        self.infinite = self.stop & (self.step_costs > 0.0)
 
     def step(self, x, u):
         """One step of every lane in x with draws u (one per lane)."""
@@ -348,11 +350,12 @@ def _summarize(costs, infinite, truncated, master_seed: int) -> McEstimate:
         samples = np.where(infinite, np.inf, lb_samples)
         if np.isinf(samples).any():
             mean, std_error = ExtReal(INF), None
+        elif samples.max() == samples.min():  # np.mean of them can round
+            lower = float(samples[0])
+            mean, std_error = ExtReal(lower), 0.0
         else:
             mean = ExtReal(float(np.mean(samples)))
-            if samples.max() == samples.min():
-                std_error = 0.0
-            elif samples.max() <= 0.5 * samples.sum():
+            if samples.max() <= 0.5 * samples.sum():
                 std_error = float(samples.std(ddof=1) / math.sqrt(n))
             else:
                 std_error = None  # heavy tail: a CI would be meaningless
@@ -396,8 +399,9 @@ def estimate_dtmdp_value_mc(dtmdp: DtmdpModel, policy: StationaryPolicy,
                             x0: int, n: int, master_seed: int,
                             max_steps: int = DEFAULT_MAX_JUMPS,
                             n_workers: int = 1) -> McEstimate:
-    """Estimate the chain's multiplicative cost from x0; a step is terminal
-    when its row is the identity at zero step cost.
+    """Estimate the chain's multiplicative cost from x0; a state whose row
+    is the identity is terminal, at infinite cost if its step cost is
+    positive.
 
     n_workers has no effect; it is kept for compatibility.
     """

@@ -24,8 +24,9 @@ by one test (_growth_bound) on a lazy iterate y, v + T v in value iteration:
 a set on which the sweep of y, zeroed off the set, still exceeds y
 beyond the rounding margin.  A lazy iterate grows on every sweep on a
 class of any period.  Value iteration tests on sweeps 1, 2, 4, ...;
-every sweep floors, keeps the states already infinite at inf, checks
-monotonicity and measures the change over the states still finite.
+every sweep floors, checks monotonicity and measures the change over the
+states still finite.  A state once infinite stays infinite under every
+later sweep, so the iterate alone records which states are.
 
 The module also provides residual checks against the original
 continuous-time model, an iterative policy evaluator kept as an
@@ -229,42 +230,36 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
     Returns (values, iterations, converged).  `sweep` maps the current
     vector to the next, not yet floored; `operator` is the same map, passed
     apart so that the calls of `sweep` are the sweeps alone.  Every sweep
-    floors at 1, keeps the states already infinite at inf, checks
-    monotonicity and takes the largest relative change over the states
-    finite before it.  The loop stops once that change is under tol; until
-    then, sweeps 1, 2, 4, 8, ... set the states that _growing finds on the
-    lazy iterate v + T v to inf, and another sweep follows.  The mask of
-    infinite states is built only once a state is infinite, and again only
-    when a sweep adds one: an overflow, where the change is inf, or a
-    state that _growing finds.
+    floors at 1, checks monotonicity and takes the largest relative change
+    over the states finite before it.  The loop stops once that change is
+    under tol; until then, sweeps 1, 2, 4, 8, ... set the states that
+    _growing finds on the lazy iterate v + T v to inf, and another sweep
+    follows.  The loop carries v alone: a state infinite in v is infinite
+    in every later sweep (a state set to inf by _growing keeps positive
+    weight on inf under every admissible action, and an overflow stays one
+    as the sweep is monotone), so its change is inf - inf = NaN, which
+    np.fmax skips.  A sweep that broke this would fail the monotonicity
+    check.
     """
     if not tol > 0.0:  # NaN fails every comparison
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    # the change inf - inf of a state already infinite is masked out, and
-    # the lazy iterate and its growth bound overflow near the largest
-    # float: no warning
+    # the change inf - inf of a state already infinite is NaN, and the lazy
+    # iterate and its growth bound overflow near the largest float: no
+    # warning
     with np.errstate(over="ignore", invalid="ignore"):
-        v, pinned = np.ones(n), None  # np.isinf(v), once a state is infinite
+        v = np.ones(n)
         for iterations in range(1, max_iters + 1):
             tv = np.maximum(sweep(v), 1.0)
-            if pinned is not None:
-                tv[pinned] = np.inf
             if (tv < v).any():
                 raise _non_monotone(v, tv)
-            change = ((tv - v) / v).max() if pinned is None else \
-                ((tv - v) / v).max(where=~pinned, initial=0.0)
-            fresh = change == np.inf  # a state finite in v is inf in tv
+            change = np.fmax.reduce((tv - v) / v, initial=0.0)
             if change >= tol and iterations & (iterations - 1) == 0:
-                grow = _growing(operator, v + tv)
-                tv[grow] = np.inf
-                fresh = fresh or grow.any()
+                tv[_growing(operator, v + tv)] = np.inf
             v = tv
             if change < tol:
                 return v, iterations, True
-            if fresh:
-                pinned = np.isinf(v)
     return v, iterations, False
 
 
@@ -298,7 +293,7 @@ def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
                               tol: float = DEFAULT_TOL,
                               max_iters: int = DEFAULT_MAX_ITERS) -> ValueFunction:
     """Fixed-policy value by iterating the one-step operator with the
-    action pinned to the policy; same stopping and divergence test as
+    action fixed by the policy; same stopping and divergence test as
     value_iterate."""
     choice = dtmdp.check_policy(policy)
     rows = np.arange(dtmdp.n_states)
@@ -402,14 +397,14 @@ def _solve_by_class(d, gross, inflow, vals, transient) -> None:
     that overflows), or whose block fails the certificate, is infinite,
     and so in turn is every class that reaches it."""
     t = np.flatnonzero(transient)
-    known = np.where(transient, 0.0, vals)  # valued states, inf kept; else 0
+    vals[t] = 0.0  # not yet valued: no inflow from them
     for members in _sink_classes_first(inflow[np.ix_(t, t)] > 0.0):
         c = t[members]
         rows = inflow[c]
-        into = _masked_apply(rows, known)
+        into = _masked_apply(rows, vals)
         x = (_certified_solve(d[c], gross[c], rows[:, c], into)
              if np.isfinite(into).all() else None)
-        vals[c] = known[c] = np.inf if x is None else np.maximum(x, 1.0)
+        vals[c] = np.inf if x is None else np.maximum(x, 1.0)
 
 
 def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:

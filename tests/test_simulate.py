@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import stats
 
 from riskctmdp.model import StationaryPolicy, gen_example, validate_model
-from riskctmdp.reduction import build_equivalent_dtmdp
+from riskctmdp.reduction import DtmdpModel, build_equivalent_dtmdp
 from riskctmdp.simulate import (ABSORBED, TRUNCATED, _JumpTables, _lockstep,
                                 _philox, _summarize, _uniforms,
                                 estimate_dtmdp_value_mc, estimate_value_mc,
@@ -226,6 +227,32 @@ class TestChainEstimates:
         est = estimate_dtmdp_value_mc(dtmdp, only_policy(model), 1, 200, 0)
         assert est.mean.value == 1.0
         assert est.std_error == 0.0
+
+    def test_equal_samples_give_that_sample_as_the_mean(self):
+        """Every path pays ln(4/3) once, so every sample is 4/3 exactly;
+        np.mean of 100 000 copies reads 1.333333333333333."""
+        kernel = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
+        dtmdp = DtmdpModel(["work", "absorb"], ["a0"], None, kernel,
+                           [[math.log(4.0 / 3.0)], [0.0]])
+        est = estimate_dtmdp_value_mc(dtmdp, StationaryPolicy((0, 0)), 0,
+                                      100_000, 999)
+        assert est.mean.value == est.lower_bound_mean == 4.0 / 3.0
+        assert est.std_error == 0.0
+
+    def test_infinite_sample_makes_mean_infinite(self):
+        """The chain twin of the jump walk's test: the reduction maps the
+        state of no rates and cost rate 1 to an identity row at positive
+        step cost, which is infinite, not walked until max_steps."""
+        model = validate_model({
+            "states": ["stuck"], "actions": ["a0"], "rates": [],
+            "costs": [{"state": "stuck", "action": "a0", "rate": 1.0}],
+        })
+        est = estimate_dtmdp_value_mc(build_equivalent_dtmdp(model),
+                                      only_policy(model), 0, 50, 0)
+        assert not est.mean.is_finite
+        assert est.std_error is None
+        assert est.truncated_fraction == 0.0
+        assert est.lower_bound_mean == 1.0
 
     def test_chain_agrees_with_linear_evaluation(self, monotone_corpus):
         item = next(it for it in monotone_corpus if it.n_states == 4

@@ -643,6 +643,23 @@ def _recorded_loop(monkeypatch, run, *args, **kwargs):
     return loop
 
 
+def _recorded_sweeps(monkeypatch, run, *args, **kwargs):
+    """Each sweep's input and output in the one fixed-point loop that
+    run(*args, **kwargs) goes through, and what run returns."""
+    sweeps = []
+
+    def record(sweep, *rest):
+        def recorded(v):
+            sweeps.append((v.copy(), sweep(v).copy()))
+            return sweeps[-1][1]
+        return iterate(recorded, *rest)
+    iterate = solver._iterate
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_iterate", record)
+        result = run(*args, **kwargs)
+    return sweeps, result
+
+
 def _lagging_pair():
     """y loops at price 3 and x moves to y at price 1000: x grows only
     through y, so x is shown infinite only together with y."""
@@ -850,6 +867,25 @@ class TestLeanLoopMatchesReference:
         loop = _recorded_loop(monkeypatch, evaluate_policy_iterative, dtmdp,
                               policy, **kwargs)
         _check_loop(loop, dtmdp, _sweeps(dtmdp, policy), **kwargs)
+
+    @pytest.mark.parametrize("build, kwargs", LOOP_CASES)
+    def test_a_state_once_infinite_stays_infinite(self, monkeypatch, build,
+                                                  kwargs):
+        """Every state infinite in a sweep's input is infinite in its
+        output, so the loop needs no record of them beside its iterate.
+        Where value iteration converges, the last sweep's input is already
+        infinite exactly where the result is: the property is not
+        vacuous on the cases with infinite states."""
+        dtmdp = build()
+        sweeps, report = _recorded_sweeps(monkeypatch, value_iterate, dtmdp,
+                                          **kwargs)
+        fixed, _ = _recorded_sweeps(monkeypatch, evaluate_policy_iterative,
+                                    dtmdp, report.policy, **kwargs)
+        for v, tv in sweeps + fixed:
+            assert np.isinf(tv[np.isinf(v)]).all()
+        if report.converged:
+            assert set(np.flatnonzero(np.isinf(sweeps[-1][0])).tolist()) \
+                == report.infinite_states
 
     @pytest.mark.parametrize("operator", [
         lambda v: np.zeros(2), lambda v: np.array([2.0 * v[0], v[1]])],
