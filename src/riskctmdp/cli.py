@@ -49,8 +49,14 @@ def _load_policy(args, model):
     return parse_policy(model, _load_json(args.policy))
 
 
-def _values_by_state(model, value) -> dict:
-    return dict(zip(model.states, value.values.tolist()))
+def _by_state(model, values: np.ndarray) -> dict:
+    return dict(zip(model.states, values.tolist()))
+
+
+def _gaps(a, b) -> np.ndarray:
+    """|a - b| per entry: 0 where the two agree, also where both are inf
+    (not inf - inf), and inf where only one is."""
+    return np.abs(np.subtract(a, b, out=np.zeros(a.shape), where=a != b))
 
 
 def _solver_options(args) -> dict:
@@ -87,16 +93,15 @@ def _cmd_evaluate(args):
         reduction.build_equivalent_dtmdp(model), policy,
         **_solver_options(args))
     both_finite = linear.finite_mask & iterative.finite_mask
-    diff = float(np.max(np.abs(linear.values[both_finite]
-                               - iterative.values[both_finite]))) \
-        if both_finite.any() else 0.0
+    diff = float(np.max(_gaps(linear.values, iterative.values)[both_finite],
+                        initial=0.0))
     report = {
         "policy": policy.to_dict(model)["policy"],
         "linear": {
-            "values": _values_by_state(model, linear),
+            "values": _by_state(model, linear.values),
             "diagnostics": {"method": "linear"},
         },
-        "iterative": {"values": _values_by_state(model, iterative)},
+        "iterative": {"values": _by_state(model, iterative.values)},
         "max_abs_diff_finite": diff,
         "same_infinite_classification": bool(
             np.array_equal(linear.finite_mask, iterative.finite_mask)),
@@ -109,19 +114,16 @@ def _cmd_simulate(args):
     model = _load_model(args)
     policy = _load_policy(args, model)
     evaluated = solver.evaluate_policy_linear(model, policy)
-    estimates = {}
-    deviations = {}
-    for x, name in enumerate(model.states):
-        est = simulate.estimate_value_mc(model, policy, x, args.n,
-                                         args.seed + x)
-        estimates[name] = est.to_dict()
-        mean, value = est.mean.value, evaluated[x]
-        deviations[name] = (0.0 if mean == value == np.inf
-                            else abs(mean - value))
+    estimates = [simulate.estimate_value_mc(model, policy, x, args.n,
+                                            args.seed + x)
+                 for x in range(model.n_states)]
+    deviations = _gaps(np.array([est.mean.value for est in estimates]),
+                       evaluated.values)
     report = {
-        "estimates": estimates,
-        "evaluated_values": _values_by_state(model, evaluated),
-        "abs_deviation": deviations,
+        "estimates": {name: est.to_dict()
+                      for name, est in zip(model.states, estimates)},
+        "evaluated_values": _by_state(model, evaluated.values),
+        "abs_deviation": _by_state(model, deviations),
         "n": args.n,
         "seed": args.seed,
     }
@@ -142,10 +144,7 @@ def _cmd_oracle(args):
     for h in range(1, args.horizon + 1):
         sweep = solver.bellman_apply(dtmdp, sweep)[0]
         exact = solver.finite_horizon_oracle(dtmdp, h)
-        # 0 where the two agree, also where both are inf (not inf - inf)
-        gap = float(np.max(np.abs(np.subtract(
-            sweep.values, exact.values, out=np.zeros(dtmdp.n_states),
-            where=sweep.values != exact.values))))
+        gap = float(np.max(_gaps(sweep.values, exact.values)))
         per_horizon[str(h)] = gap
         worst = max(worst, gap)
     status = EXIT_OK if worst <= ORACLE_MATCH_TOL else EXIT_ORACLE_MISMATCH
@@ -169,6 +168,37 @@ def _cmd_gen(args):
     return EXIT_OK, model.to_dict()
 
 
+# Argument specs, each the name and keywords of one add_argument call
+_MODEL = ("model", {"help": "model JSON file"})
+_POLICY = ("--policy", {"help": "policy JSON file"})
+_MAX_ITERS = ("--max-iters", {"type": int})
+_SEED = ("--seed", {"type": int, "default": 0})
+_OUT = ("--out", {"help": "write the report here instead of stdout"})
+# Each subcommand's name, handler, help and specs in help order; --out last
+_COMMANDS = (
+    ("validate", _cmd_validate,
+     "validate a model file and print its normalized form", (_MODEL,)),
+    ("reduce", _cmd_reduce, "emit the equivalent discrete-time model",
+     (_MODEL,)),
+    ("solve", _cmd_solve,
+     "solve by policy iteration; emit values, policy, residual",
+     (_MODEL, _MAX_ITERS)),
+    # --tol and --max-iters are the iterative evaluator's stopping rule
+    ("evaluate", _cmd_evaluate, "evaluate a policy by both methods",
+     (_MODEL, ("--tol", {"type": float}), _MAX_ITERS, _POLICY)),
+    ("simulate", _cmd_simulate, "Monte Carlo estimates per start state",
+     (_MODEL, _POLICY, ("--n", {"type": int, "default": 100_000, "help":
+                                "trajectories per start state"}), _SEED)),
+    ("oracle", _cmd_oracle, "check sweeps against the brute-force oracle",
+     (_MODEL, ("--horizon", {"type": int, "required": True}))),
+    ("gen", _cmd_gen, "generate a fixture model",
+     (("--kind", {"required": True}),
+      ("--params", {"default": "{}",
+                    "help": "generator parameters as a JSON object"}),
+      _SEED)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's one argument set.  Each subcommand's parser names its
     handler, which reads the parsed arguments and returns (exit status,
@@ -179,45 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "exponential utility of the total cost.")
     # dest names the subcommand in argparse's message when it is missing
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, model=True, max_iters=False,
-            sweeps=False, policy=False, mc=False, horizon=False, gen=False):
+    for name, handler, help_text, specs in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        if model:
-            p.add_argument("model", help="model JSON file")
-        if sweeps:  # the iterative evaluator's stopping rule
-            p.add_argument("--tol", type=float)
-        if max_iters or sweeps:
-            p.add_argument("--max-iters", type=int)
-        if policy:
-            p.add_argument("--policy", help="policy JSON file")
-        if mc:
-            p.add_argument("--n", type=int, default=100_000,
-                           help="trajectories per start state")
-        if horizon:
-            p.add_argument("--horizon", type=int, required=True)
-        if gen:
-            p.add_argument("--kind", required=True)
-            p.add_argument("--params", default="{}",
-                           help="generator parameters as a JSON object")
-        if mc or gen:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write the report here instead of stdout")
-
-    add("validate", _cmd_validate,
-        "validate a model file and print its normalized form")
-    add("reduce", _cmd_reduce, "emit the equivalent discrete-time model")
-    add("solve", _cmd_solve,
-        "solve by policy iteration; emit values, policy, residual",
-        max_iters=True)
-    add("evaluate", _cmd_evaluate, "evaluate a policy by both methods",
-        sweeps=True, policy=True)
-    add("simulate", _cmd_simulate, "Monte Carlo estimates per start state",
-        policy=True, mc=True)
-    add("oracle", _cmd_oracle, "check sweeps against the brute-force oracle",
-        horizon=True)
-    add("gen", _cmd_gen, "generate a fixture model", model=False, gen=True)
+        for name_or_flag, options in (*specs, _OUT):
+            p.add_argument(name_or_flag, **options)
     return parser
 
 

@@ -181,17 +181,17 @@ def _pick(cums, last, x, t):
 
 
 class _JumpTables:
-    """Per-state jump data for one (model, policy): cumulative positive
-    rates of the chosen action per state and the states they lead to."""
+    """Per-state jump data for one (model, checked policy choice):
+    cumulative positive rates of the chosen action per state and the
+    states they lead to."""
 
     draws_per_step = 2
 
-    def __init__(self, model: CtmdpModel, policy: StationaryPolicy):
+    def __init__(self, model: CtmdpModel, choice):
         states = np.arange(model.n_states)
-        actions = list(policy.choice)
-        self.totals = model.total_rates[states, actions]
-        self.cost_rates = model.costs[states, actions]
-        rows = model.rates[states, actions]
+        self.totals = model.total_rates[states, choice]
+        self.cost_rates = model.costs[states, choice]
+        rows = model.rates[states, choice]
         self.cums, self.targets, self.last = _cumulative(rows, rows > 0)
         self.stop = self.totals == 0.0
         self.infinite = self.stop & (self.cost_rates > 0.0)
@@ -390,8 +390,8 @@ def estimate_value_mc(model: CtmdpModel, policy: StationaryPolicy, x0: int,
     n_workers has no effect; it is kept for compatibility.
     """
     _check_counts(n, max_jumps, "max_jumps")
-    model.check_policy(policy)
-    return _estimate(_JumpTables(model, policy), x0, n, master_seed,
+    choice = model.check_policy(policy)
+    return _estimate(_JumpTables(model, choice), x0, n, master_seed,
                      max_jumps)
 
 

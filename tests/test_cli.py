@@ -121,6 +121,19 @@ def test_near_critical_solve_is_exact(tmp_path, capsys, c):
     assert report["values"]["absorb"] == 1.0
 
 
+def test_last_exact_near_critical_solve(tmp_path, capsys):
+    """two_state q=1 at c = 1 - 2^-50, the largest such c that solve
+    still proves finite: V(work) = 2^50 exactly."""
+    path = tmp_path / "model.json"
+    assert cli.main(["gen", "--kind", "two_state", "--params",
+                     jsonio.dumps({"q": 1.0, "c": 1.0 - 2.0 ** -50}),
+                     "--out", str(path)]) == 0
+    status, out, _ = _run(capsys, "solve", str(path))
+    report = jsonio.loads(out)
+    assert status == 0 and report["converged"] is True
+    assert report["values"]["work"] == 2.0 ** 50
+
+
 def test_solve_reports_infinite_states(tmp_path, capsys):
     path = tmp_path / "stuck.json"
     path.write_text(jsonio.dumps({
@@ -248,6 +261,27 @@ def test_simulate_report(tmp_path, capsys):
     # reruns are byte-identical
     status2, out2, _ = _run(capsys, *args)
     assert out2 == out
+
+
+def test_simulate_deviation_is_inf_where_one_side_is(tmp_path, capsys):
+    """Under birth 3 and death 1 the evaluated value of every level above
+    0 is inf, while 200 paths of at most the jump budget each give a
+    finite mean: the deviation there is inf, and 0 at the absorbing
+    level."""
+    model, solved = tmp_path / "model.json", tmp_path / "solved.json"
+    assert cli.main(["gen", "--kind", "birth_death", "--params",
+                     '{"levels": 6, "birth": 3, "death": 1, "cost": 1}',
+                     "--out", str(model)]) == 0
+    assert cli.main(["solve", str(model), "--out", str(solved)]) == 0
+    status, out, _ = _run(capsys, "simulate", str(model), "--policy",
+                          str(solved), "--n", "200")
+    assert status == 0
+    report = jsonio.loads(out)
+    levels = [str(k) for k in range(1, 7)]
+    assert all(math.isfinite(report["estimates"][k]["mean"])
+               and report["evaluated_values"][k] == "inf" for k in levels)
+    assert report["abs_deviation"] == {"0": 0.0,
+                                       **{k: "inf" for k in levels}}
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -574,5 +608,10 @@ def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
                for name, path in out.items()}
     assert reports["solve"]["values"]["work"] == "inf"
     assert reports["simulate"]["estimates"]["work"]["mean"] == "inf"
+    # both sides inf: the gap is 0, not inf - inf
+    assert reports["simulate"]["abs_deviation"] == {"absorb": 0.0,
+                                                    "work": 0.0}
+    assert reports["evaluate"]["max_abs_diff_finite"] == 0.0
+    assert reports["evaluate"]["same_infinite_classification"] is True
     assert reports["oracle"]["per_horizon_discrepancy"] == {
         "1": 0.0, "2": 0.0, "3": 0.0}

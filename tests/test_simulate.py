@@ -324,16 +324,16 @@ def _paths(model, policy, x0, n, seed, max_jumps):
 
 def _chain_paths(dtmdp, policy, x0, n, seed, max_steps):
     """Scalar reference walk of the embedded chain: step k draws double k
-    of the path's stream; a row that is the identity at zero step cost
-    stops the walk.  Returns (costs, truncated flags)."""
+    of the path's stream; a row that is the identity stops the walk, at
+    infinite cost if its step cost is positive.  Returns (finite costs,
+    infinite flags, truncated flags)."""
     choice = dtmdp.check_policy(policy)
 
     def stops(x):
-        a = choice[x]
-        return (bool(np.all(np.flatnonzero(dtmdp.kernel[x, a] > 0) == x))
-                and dtmdp.step_cost[x, a] == 0.0)
+        return bool(np.all(np.flatnonzero(dtmdp.kernel[x, choice[x]] > 0)
+                           == x))
 
-    costs, truncated = [], []
+    costs, infinite, truncated = [], [], []
     for i in range(n):
         draws = trajectory_stream(seed, i).random(max_steps)
         x, cost = x0, 0.0
@@ -348,8 +348,9 @@ def _chain_paths(dtmdp, policy, x0, n, seed, max_steps):
             cost += dtmdp.step_cost[x, choice[x]]
             x = int(targets[idx])
         costs.append(cost)
+        infinite.append(stops(x) and dtmdp.step_cost[x, choice[x]] > 0.0)
         truncated.append(not stops(x))
-    return np.array(costs), np.array(truncated)
+    return np.array(costs), np.array(infinite), np.array(truncated)
 
 
 class TestPhilox:
@@ -409,8 +410,9 @@ class TestLockstepMatchesScalar:
         model = _birth_death()
         policy = only_policy(model)
         starts, seeds, n = [0, 4, 1, 5], [9, 10, 2 ** 64 + 3, 12], 40
-        costs, finals = _lockstep(_JumpTables(model, policy), starts, seeds,
-                                  n, 64, budget)
+        costs, finals = _lockstep(_JumpTables(model,
+                                              model.check_policy(policy)),
+                                  starts, seeds, n, 64, budget)
         for s, (x0, seed) in enumerate(zip(starts, seeds)):
             ref_costs, _, _, ref_finals = _paths(model, policy, x0, n, seed,
                                                  64)
@@ -423,12 +425,14 @@ class TestLockstepMatchesScalar:
         (lambda: gen_example("pure_birth", {"N": 4, "kappa": 1.0}, 0), 0,
          200, 64),
         (_birth_death, 1, 1, 64),
+        (_costly_absorption, 0, 300, 64),
     ])
     def test_chain_estimate(self, make, x0, n, max_steps):
         model = make()
         dtmdp = build_equivalent_dtmdp(model)
         policy = only_policy(model)
-        costs, truncated = _chain_paths(dtmdp, policy, x0, n, 17, max_steps)
+        costs, infinite, truncated = _chain_paths(dtmdp, policy, x0, n, 17,
+                                                  max_steps)
         assert estimate_dtmdp_value_mc(dtmdp, policy, x0, n, 17,
                                        max_steps) == \
-            _summarize(costs, np.zeros(n, dtype=bool), truncated, 17)
+            _summarize(costs, infinite, truncated, 17)
