@@ -3,11 +3,15 @@ exponential utility of the total undiscounted cost.
 
 A finite jump-process model (states, actions, rates, cost rates) is
 reduced to a discrete-time model on the same state and action spaces whose
-multiplicative-cost value function coincides with the original one; policy
-iteration, started from a few value-iteration sweeps on the reduced model,
-then yields values and an optimal stationary policy, cross-checkable by
-exact policy evaluation, a brute-force finite-horizon oracle, and Monte
-Carlo simulation of the jump process itself.
+multiplicative-cost value function coincides with the original one: the
+embedded jump chain (weight w = q, the total rate) at each pair whose cost
+rate c is below q, and the paper's uniformization weight w(x) = 1 + max c
++ max q, one valid choice everywhere, at the others.  Policy iteration,
+started from value-iteration sweeps on the reduced model until they
+converge, at most 20, then yields values and an optimal stationary
+policy, cross-checkable by exact policy evaluation, a brute-force
+finite-horizon oracle, and Monte Carlo simulation of the jump process
+itself.
 
 Importing the package loads none of its modules: each public name is
 imported from its module on first access (PEP 562) and then kept here, so

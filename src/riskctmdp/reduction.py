@@ -1,13 +1,19 @@
 """Reduction of a continuous-time model to an equivalent discrete-time one.
 
-Each state receives its weight w(x) = 1 + max cost rate + max total rate.
-Dividing the rate kernel by w and returning the leftover mass to the state
-itself yields a proper stochastic kernel, and charging ln(w/(w - c)) per
-step, a cost of the state and action only, makes the exponential-utility
-value of the embedded chain coincide with the value of the original jump
-process.  States, actions and admissible sets are preserved, so policies
-transfer verbatim: both model classes share model.IndexedModel, which owns
-the name rules, the indexing and the policy check.
+Any weight w(x, a) >= q(x, a), the total rate, with w > c(x, a), the cost
+rate, gives an equivalent discrete-time model: dividing the rate kernel by
+w and returning the leftover mass 1 - q/w to the state itself yields a
+proper stochastic kernel, and charging ln(w/(w - c)) per step, a cost of
+the state and action only, makes the exponential-utility value of that
+chain coincide with the value of the original jump process, as the number
+of self-loops before each jump times their cost leaves the sojourn factor
+q/(q - c) whatever w is.  The reduction takes w = q where c < q, so that
+such a pair's row is the embedded jump chain's, with no self-loop, and
+the paper's per-state weight w(x) = 1 + max cost rate + max total rate
+(CtmdpModel.weight) elsewhere.  States, actions and admissible sets are
+preserved, so policies transfer verbatim: both model classes share
+model.IndexedModel, which owns the name rules, the indexing and the policy
+check.
 """
 
 from __future__ import annotations
@@ -98,21 +104,29 @@ class DtmdpModel(IndexedModel):
 def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     """Embed the jump process into a discrete-time model with equal value.
 
-    kernel(x,a)[y] = rates(x,a,y)/w(x) for y != x, with the leftover mass
-    1 - total_rate(x,a)/w(x) kept at x; step_cost(x,a) =
-    ln(w(x)/(w(x) - c(x,a))), w = model.weight, with the slack w - c, at
-    least 1 + max total rate, floored at 1 where rounding took it lower:
-    every model that CtmdpModel accepts reduces.  Inadmissible pairs get
-    an identity row at zero cost so that every row stays stochastic.
+    An admissible pair with cost rate c below its total rate q takes the
+    weight w = q: kernel(x,a)[y] = rates(x,a,y)/q, no self-loop, and
+    step_cost(x,a) = ln(q/(q - c)); q - c > 0 as c < q, so that holds
+    without a floor.  Every other admissible pair, q = 0 or c >= q, takes
+    w = model.weight, the paper's w(x): kernel(x,a)[y] = rates(x,a,y)/w
+    for y != x with the leftover mass 1 - q/w kept at x, and step_cost =
+    ln(w/(w - c)), with the slack w - c, at least 1 + max total rate,
+    floored at 1 where rounding took it lower: every model that CtmdpModel
+    accepts reduces.  Each step cost is computed as log1p(c / slack),
+    which keeps every digit where c is small against the slack.
+    Inadmissible pairs get an identity row at zero cost so that every row
+    stays stochastic.
     """
     n = model.n_states
-    w = model.weight
+    q, c = model.total_rates, model.costs
     adm = model.admissible_mask
-    kernel = model.rates / w[:, None, None]
+    jump = adm & (c < q)
+    w = np.where(jump, q, model.weight[:, None])
+    kernel = model.rates / w[:, :, None]
     idx = np.arange(n)
-    kernel[idx, :, idx] = 1.0 - model.total_rates / w[:, None]
-    step_cost = np.where(adm, np.log(w[:, None] / np.maximum(
-        w[:, None] - model.costs, 1.0)), 0.0)
+    kernel[idx, :, idx] = 1.0 - q / w  # exactly 0 where w = q
+    slack = np.where(jump, q - c, np.maximum(w - c, 1.0))
+    step_cost = np.where(adm, np.log1p(c / slack), 0.0)
     kernel[~adm] = np.eye(n)[np.nonzero(~adm)[0]]
     return DtmdpModel(model.states, model.actions, model.admissible, kernel,
                       step_cost)

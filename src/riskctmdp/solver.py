@@ -139,29 +139,32 @@ def _zero_infinite(flat: np.ndarray, v: np.ndarray):
 
 def _masked_apply(flat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """flat @ v, flat a 2-D array of weights and v a vector or a matrix,
-    with zero weights absorbing infinite values of v; a product that
-    overflows is inf, which is divergence: no warning."""
-    with np.errstate(over="ignore"):
-        if v.max() < np.inf:  # no entry is infinite (or NaN)
-            return flat @ v
-        safe, reaches = _zero_infinite(flat, v)
-        out = flat @ safe
+    with zero weights absorbing infinite values of v.  A product that
+    overflows is inf, which is divergence: each caller enters
+    np.errstate(over="ignore") once, not once per product."""
+    if v.max() < np.inf:  # no entry is infinite (or NaN)
+        return flat @ v
+    safe, reaches = _zero_infinite(flat, v)
+    out = flat @ safe
     out[reaches] = np.inf
     return out
 
 
+def _operator_arrays(dtmdp: DtmdpModel):
+    """The flat (n m, n) view of step_weights and the additive penalty, 0
+    at admissible pairs and +inf elsewhere, from which the one-step
+    operator is built once per solve.  vals + penalty is np.where(adm,
+    vals, inf) bit for bit, as vals >= 0 is never NaN."""
+    n, m = dtmdp.n_states, dtmdp.n_actions
+    return (dtmdp.step_weights.reshape(n * m, n),
+            np.where(dtmdp.admissible_mask, 0.0, np.inf))
+
+
 def _action_values(dtmdp: DtmdpModel):
     """The map from v to the (n, m) array of sum_y W(x, a, y) v(y), +inf at
-    inadmissible pairs: the one-step operator before its minimum.
-
-    Its flat (n m, n) view of step_weights and its additive penalty, 0 at
-    admissible pairs and +inf elsewhere, are built once here and read on
-    every call.  vals + penalty is np.where(adm, vals, inf) bit for bit,
-    as vals >= 0 is never NaN.
-    """
+    inadmissible pairs: the one-step operator before its minimum."""
     n, m = dtmdp.n_states, dtmdp.n_actions
-    flat = dtmdp.step_weights.reshape(n * m, n)
-    penalty = np.where(dtmdp.admissible_mask, 0.0, np.inf)
+    flat, penalty = _operator_arrays(dtmdp)
 
     def values(v):
         return _masked_apply(flat, v).reshape(n, m) + penalty
@@ -184,8 +187,9 @@ def bellman_apply(dtmdp: DtmdpModel, v: ValueFunction):
     result is floored at the provable lower bound 1 so iterates stay in
     [1, inf] exactly.
     """
-    best, choice = _argmin_admissible(_action_values(dtmdp)(v.values),
-                                      dtmdp.admissible_mask)
+    with np.errstate(over="ignore"):
+        vals = _action_values(dtmdp)(v.values)
+    best, choice = _argmin_admissible(vals, dtmdp.admissible_mask)
     tv = np.maximum(best, 1.0)
     return ValueFunction(tv), StationaryPolicy(tuple(choice.tolist()))
 
@@ -228,8 +232,9 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
     """Shared fixed-point loop: monotone sweeps, divergence, stopping.
 
     Returns (values, iterations, converged).  `sweep` maps the current
-    vector to the next, not yet floored; `operator` is the same map, passed
-    apart so that the calls of `sweep` are the sweeps alone.  Every sweep
+    vector to the next, not yet floored; `operator` is the same map on
+    finite vectors, the only ones _growing passes it, and is passed apart
+    so that the calls of `sweep` are the sweeps alone.  Every sweep
     floors at 1, checks monotonicity and takes the largest relative change
     over the states finite before it.  The loop stops once that change is
     under tol; until then, sweeps 1, 2, 4, 8, ... set the states that
@@ -245,9 +250,9 @@ def _iterate(sweep, n: int, tol: float, max_iters: int, operator):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-    # the change inf - inf of a state already infinite is NaN, and the lazy
-    # iterate and its growth bound overflow near the largest float: no
-    # warning
+    # the change inf - inf of a state already infinite is NaN, and a
+    # sweep's products, the lazy iterate and its growth bound overflow near
+    # the largest float: no warning
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.ones(n)
         for iterations in range(1, max_iters + 1):
@@ -273,13 +278,17 @@ def value_iterate(dtmdp: DtmdpModel, tol: float = DEFAULT_TOL,
     finite.  Exhausting max_iters gives converged=False rather than an
     exception.
     """
-    values = _action_values(dtmdp)
+    n, m = dtmdp.n_states, dtmdp.n_actions
+    flat, penalty = _operator_arrays(dtmdp)
 
     def sweep(v):
-        return values(v).min(axis=1)
+        return (_masked_apply(flat, v).reshape(n, m) + penalty).min(axis=1)
 
-    vals, iterations, converged = _iterate(sweep, dtmdp.n_states, tol,
-                                           max_iters, sweep)
+    def operator(y):  # y finite: no infinite entry to absorb
+        return ((flat @ y).reshape(n, m) + penalty).min(axis=1)
+
+    vals, iterations, converged = _iterate(sweep, n, tol, max_iters,
+                                           operator)
     value = ValueFunction(vals)
     final, policy = bellman_apply(dtmdp, value)
     finite = value.finite_mask & final.finite_mask
@@ -302,7 +311,10 @@ def evaluate_policy_iterative(dtmdp: DtmdpModel, policy: StationaryPolicy,
     def sweep(v):
         return _masked_apply(weights, v)
 
-    vals, _, _ = _iterate(sweep, dtmdp.n_states, tol, max_iters, sweep)
+    def operator(y):  # y finite: no infinite entry to absorb
+        return weights @ y
+
+    vals, _, _ = _iterate(sweep, dtmdp.n_states, tol, max_iters, operator)
     return ValueFunction(vals)
 
 
@@ -313,11 +325,11 @@ def _policy_system(model, choice: np.ndarray):
 
     On the discrete-time model d = 1 - W(x, x) and inflow is W off the
     diagonal, W the policy's step weights.  On the continuous-time model
-    these equations times w(x) - c(x) read d = total rate - cost rate and
-    inflow = rates: the weight CtmdpModel.weight cancels, the reduction's
-    floor on w - c plays no part, and d keeps every digit when the cost
-    rate is close to the total rate, where 1 - W(x, x) has lost them to
-    rounding.
+    these equations times w - c, w the reduction's weight at the pair,
+    read d = total rate - cost rate and inflow = rates: the weight
+    cancels, the reduction's floor on w - c plays no part, and d keeps
+    every digit when the cost rate is close to the total rate, where
+    1 - W(x, x) may have lost them to rounding.
     """
     rows = np.arange(model.n_states)
     if isinstance(model, CtmdpModel):
@@ -401,7 +413,8 @@ def _solve_by_class(d, gross, inflow, vals, transient) -> None:
     for members in _sink_classes_first(inflow[np.ix_(t, t)] > 0.0):
         c = t[members]
         rows = inflow[c]
-        into = _masked_apply(rows, vals)
+        with np.errstate(over="ignore"):
+            into = _masked_apply(rows, vals)
         x = (_certified_solve(d[c], gross[c], rows[:, c], into)
              if np.isfinite(into).all() else None)
         vals[c] = np.inf if x is None else np.maximum(x, 1.0)
@@ -518,14 +531,15 @@ def finite_horizon_oracle(dtmdp: DtmdpModel, horizon: int) -> ValueFunction:
               if horizon > 1 else None)
     states = np.arange(n)[:, None]
     costs = np.ones((n, 1))
-    for _ in range(horizon - 1):  # columns ordered table-major
-        products = np.empty((m, *costs.shape))
-        for a, mat in enumerate(by_action):
-            products[a] = _masked_apply(mat, costs)
-        costs = products[tables, states].reshape(n, -1)
-    # one action's product at a time keeps the peak at two cost sets
-    lows = np.array([_masked_apply(mat, costs).min(axis=1)
-                     for mat in by_action])
+    with np.errstate(over="ignore"):
+        for _ in range(horizon - 1):  # columns ordered table-major
+            products = np.empty((m, *costs.shape))
+            for a, mat in enumerate(by_action):
+                products[a] = _masked_apply(mat, costs)
+            costs = products[tables, states].reshape(n, -1)
+        # one action's product at a time keeps the peak at two cost sets
+        lows = np.array([_masked_apply(mat, costs).min(axis=1)
+                         for mat in by_action])
     best = np.where(dtmdp.admissible_mask.T, lows, np.inf).min(axis=0)
     return ValueFunction(np.maximum(best, 1.0))
 
@@ -621,7 +635,8 @@ def _policy_iterate(dtmdp: DtmdpModel, exact, max_iters: int) -> SolveReport:
         budget -= 1
         u = evaluate_policy_linear(
             exact, StationaryPolicy(tuple(choice.tolist()))).values
-        after = values(u)
+        with np.errstate(over="ignore"):
+            after = values(u)
         best, lowest = _argmin_admissible(after, adm)
         switch = best < after[rows, choice] * (1.0 - IMPROVE_RTOL)
         if not switch.any() and np.isinf(u).any():
@@ -661,7 +676,8 @@ def policy_iterate(dtmdp: DtmdpModel,
 
     converged=True certifies each finite value by the evaluator's M-matrix
     test with no improving action, and each infinite one by a lowest
-    power-step ratio above 1.  iterations counts the warm sweeps only.
+    power-step ratio above 1.  iterations counts the warm sweeps only:
+    value iteration's sweeps until they converge, at most WARM_SWEEPS.
     max_iters bounds sweeps, improvement and power steps together.  Out of
     budget at an improvement step, the report holds the last
     value-iteration iterate; undecided classes, also for want of budget,

@@ -80,6 +80,28 @@ def periodic_class():
     return DtmdpModel(["end", "x", "y"], ["a"], None, kernel, log_cost)
 
 
+def paper_uniformization(model):
+    """The discrete-time model of `model` under the paper's per-state
+    weight w(x) = CtmdpModel.weight at every pair: kernel rates/w with the
+    leftover mass 1 - q/w at x, step cost ln(w/(w - c)) with w - c
+    floored at 1, identity rows at zero cost for inadmissible pairs.  Its
+    value is that of build_equivalent_dtmdp(model), which takes w = q
+    where c < q, but every such pair keeps a self-loop here, so value
+    iteration on it takes the many sweeps that tests of the sweep budget
+    and of the power steps need."""
+    n = model.n_states
+    w = model.weight
+    adm = model.admissible_mask
+    kernel = model.rates / w[:, None, None]
+    idx = np.arange(n)
+    kernel[idx, :, idx] = 1.0 - model.total_rates / w[:, None]
+    step_cost = np.where(adm, np.log(w[:, None] / np.maximum(
+        w[:, None] - model.costs, 1.0)), 0.0)
+    kernel[~adm] = np.eye(n)[np.nonzero(~adm)[0]]
+    return DtmdpModel(model.states, model.actions, model.admissible, kernel,
+                      step_cost)
+
+
 def vi_solve(model, tol=DEFAULT_TOL):
     """solve_ctmdp by plain value iteration, the route it took before
     policy iteration: the report carries the continuous-time residual."""

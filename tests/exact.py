@@ -1,6 +1,7 @@
 """Exact rational reference: the value of a stationary policy on a
-CtmdpModel, the optimal value as the minimum over all of them, and exact
-per-action checks of a solve's finite values and of its infinite set.
+CtmdpModel and on any discrete-time model it reduces to, the optimal
+value as the minimum over all of them, and exact per-action checks of a
+solve's finite values and of its infinite set.
 
 Every rate and cost rate is a binary float, which fractions.Fraction holds
 exactly, so the fixed-policy equations
@@ -8,7 +9,8 @@ exactly, so the fixed-policy equations
     (q(x) - c(x)) V(x) = sum over y != x of rates(x, y) V(y),
 
 q the total rate and c the cost rate under the policy, are solved without
-rounding.  Nothing here calls the package's solver or evaluators.
+rounding.  Nothing here calls the package's solver, evaluators or
+reduction.
 """
 
 import itertools
@@ -52,42 +54,82 @@ def _solve_m_matrix(a, b):
     return x
 
 
-def policy_value(model, choice):
-    """Exact value of the stationary policy `choice` (an action index per
-    state): a list of Fractions, with math.inf where it is infinite.
+def _class_values(diag, inflow, costly):
+    """The solution V >= 1 of diag(x) V(x) = sum over y != x of
+    inflow[x][y] V(y), inflow >= 0 with a zero diagonal: a list of
+    Fractions, with math.inf where it is infinite.
 
-    A state that cannot reach a positive cost rate has value 1.  The other
-    states are solved one strongly connected class at a time, sinks
-    first.  A class is infinite when it has a rate into an infinite state,
-    or when its matrix diag(q - c) - rates is not a nonsingular M-matrix:
-    it then cannot be left fast enough to pay for its costs, or, closed
-    with a positive cost, never is left.
+    A state that cannot reach a costly one has value 1.  The other states
+    are solved one strongly connected class at a time, sinks first.  A
+    class is infinite when it has an edge into an infinite state, or when
+    its matrix diag - inflow is not a nonsingular M-matrix: it then cannot
+    be left fast enough to pay for its costs, or, closed with a positive
+    cost, never is left.
     """
-    n = model.n_states
-    rates = [[Fraction(float(r)) for r in model.rates[x, a]]
-             for x, a in enumerate(choice)]
-    cost = [Fraction(float(model.costs[x, a])) for x, a in enumerate(choice)]
-    reach = _reach([[y for y in range(n) if rates[x][y] > 0]
+    n = len(diag)
+    reach = _reach([[y for y in range(n) if inflow[x][y] > 0]
                     for x in range(n)])
-    value = [Fraction(1) if all(cost[y] == 0 for y in reach[x]) else None
+    value = [Fraction(1) if not any(costly[y] for y in reach[x]) else None
              for x in range(n)]
     for x in sorted(range(n), key=lambda x: len(reach[x])):
         if value[x] is not None:
             continue
         members = [y for y in reach[x] if x in reach[y]]
         outside = [y for y in range(n) if y not in members]
-        if any(rates[y][z] > 0 and value[z] == math.inf
+        if any(inflow[y][z] > 0 and value[z] == math.inf
                for y in members for z in outside):
             solved = None
         else:
-            a = [[(sum(rates[y]) - cost[y] if y == z else -rates[y][z])
-                  for z in members] for y in members]
-            b = [sum(rates[y][z] * value[z] for z in outside
-                     if rates[y][z] > 0) for y in members]
+            a = [[(diag[y] if y == z else -inflow[y][z]) for z in members]
+                 for y in members]
+            b = [sum(inflow[y][z] * value[z] for z in outside
+                     if inflow[y][z] > 0) for y in members]
             solved = _solve_m_matrix(a, b)
         for i, y in enumerate(members):
             value[y] = math.inf if solved is None else solved[i]
     return value
+
+
+def _pairs(model, choice):
+    """The rates and cost rate of each state's chosen pair, as Fractions."""
+    rates = [[Fraction(float(r)) for r in model.rates[x, a]]
+             for x, a in enumerate(choice)]
+    cost = [Fraction(float(model.costs[x, a])) for x, a in enumerate(choice)]
+    return rates, cost
+
+
+def policy_value(model, choice):
+    """Exact value of the stationary policy `choice` (an action index per
+    state): a list of Fractions, with math.inf where it is infinite.  It
+    solves the generator-form equations diag(q - c) V = rates V off the
+    diagonal (_class_values)."""
+    rates, cost = _pairs(model, choice)
+    return _class_values([sum(row) - c for row, c in zip(rates, cost)],
+                         rates, [c > 0 for c in cost])
+
+
+def reduced_policy_value(model, choice, weight):
+    """Exact value of the stationary policy `choice` on the discrete-time
+    model that the per-pair weights weight[x][a] reduce `model` to.
+
+    weight[x][a] is a Fraction with w >= q and w > c at the pair's total
+    rate q and cost rate c.  The pair's kernel row is rates/w + (1 - q/w)
+    at x itself and its step factor F = w/(w - c), so the value solves
+    V = F P V: (1 - F P(x, x)) V(x) = sum over y != x of F P(x, y) V(y),
+    P the kernel rows under the policy.  Nothing but the weight is shared
+    with policy_value, so their agreement checks that the reduction keeps
+    the value whatever valid weight it takes.
+    """
+    rates, cost = _pairs(model, choice)
+    diag, inflow = [], []
+    for x, (row, c) in enumerate(zip(rates, cost)):
+        w = weight[x][choice[x]]
+        assert w >= sum(row) and w > c, (x, w)
+        factor = w / (w - c)
+        stay = 1 - sum(row) / w
+        diag.append(1 - factor * stay)
+        inflow.append([factor * r / w for r in row])
+    return _class_values(diag, inflow, [c > 0 for c in cost])
 
 
 def optimal_value(model):
@@ -113,11 +155,12 @@ def assert_optimal_actions(model, choice, rtol):
             - q(x, a) V(x)
 
     is exact.  It is 0 for the policy's own action, and no other action
-    is better by more than rtol: r >= -rtol (w(x) - c(x, a)) V(x), w the
-    uniformization weight 1 + the largest cost rate + the largest total
-    rate over the admissible actions at x.  On the discrete-time model
-    that reads (W_a V)(x) >= (1 - rtol) V(x), the rule by which policy
-    iteration declines to switch an action.
+    is better by more than rtol: r >= -rtol (w - c(x, a)) V(x), w the
+    pair's weight in the reduction: q(x, a) where c(x, a) < q(x, a), else
+    the paper's 1 + the largest cost rate + the largest total rate over
+    the admissible actions at x.  On the discrete-time model that reads
+    (W_a V)(x) >= (1 - rtol) V(x), the rule by which policy iteration
+    declines to switch an action.
     """
     value = policy_value(model, choice)
     n = model.n_states
@@ -128,8 +171,10 @@ def assert_optimal_actions(model, choice, rtol):
                  for a in model.admissible[x]}
         cost = {a: Fraction(float(model.costs[x, a]))
                 for a in model.admissible[x]}
-        w = 1 + max(cost.values()) + max(sum(row) for row in rates.values())
+        paper = 1 + max(cost.values()) + max(sum(row)
+                                             for row in rates.values())
         for a, row in rates.items():
+            w = sum(row) if cost[a] < sum(row) else paper
             if any(r > 0 and value[y] == math.inf for y, r in enumerate(row)):
                 continue
             r = (cost[a] * value[x] - sum(row) * value[x]

@@ -153,12 +153,12 @@ def test_reduce_emits_kernel_and_log_cost(tmp_path, capsys):
     assert status == 0
     doc = jsonio.loads(out)
     entries = {(e["from"], e["to"]): e["prob"] for e in doc["kernel"]}
-    assert entries[("work", "absorb")] == pytest.approx(2 / 3, abs=1e-15)
-    assert entries[("work", "work")] == pytest.approx(1 / 3, abs=1e-15)
-    assert entries[("absorb", "absorb")] == 1.0
+    # work (q=4 > c=1) takes the weight q: its row is the jump chain's,
+    # with no self-loop entry; absorb keeps its identity row
+    assert entries == {("work", "absorb"): 1.0, ("absorb", "absorb"): 1.0}
     (cost_entry,) = doc["log_cost"]
     assert cost_entry["state"] == "work"
-    assert cost_entry["value"] == pytest.approx(math.log(6 / 5), abs=1e-15)
+    assert cost_entry["value"] == pytest.approx(math.log(4 / 3), abs=1e-15)
 
 
 def test_evaluate_accepts_solve_report_as_policy(tmp_path, capsys):
@@ -343,6 +343,13 @@ def test_report_bytes_unchanged(capsys, args, report):
     iterations of divergent.solve-pi.json fell from 20 to 3.  When that
     test moved to the lazy iterate v + T v, the iterations of
     divergent.solve.json and divergent.solve-pi.json fell from 3 to 2.
+    When the reduction took the weight w = q at each pair with c < q, the
+    embedded jump chain, these were written again: the reduce reports
+    lost their self-loops; the solve-pi reports changed in `iterations`
+    alone (20 -> 6, 3 and 2 for random_adm, infinite and near_critical);
+    the iterative values of the evaluate reports, which stop within tol,
+    moved by at most 3.1e-10 towards the linear ones; and infinite's
+    oracle discrepancy at horizon 3 fell from 4.4e-16 to 0.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0
@@ -575,10 +582,11 @@ def test_an_overflowing_residual_reads_inf(tmp_path):
 
 @pytest.mark.parametrize("c", ["1e17", "1e300", "1e308"])
 def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
-    """At q = 1 and c from 1e17 up, w - c of 'work' rounds below 1, to 0
-    where it cancels; the reduction floors it at 1.  The model validates,
-    so every command runs on it under -W error, with empty stderr, and
-    'work' is infinite."""
+    """At q = 1 and c from 1e17 up, c >= q, so 'work' keeps the paper's
+    weight w and its self-loop; w - c rounds below 1, to 0 where it
+    cancels, and the reduction floors it at 1.  The model validates, so
+    every command runs on it under -W error, with empty stderr, and 'work'
+    is infinite."""
     model, policy = tmp_path / "model.json", tmp_path / "policy.json"
     policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
                                                "work": "a0"}}))
@@ -608,6 +616,9 @@ def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
                for name, path in out.items()}
     assert reports["solve"]["values"]["work"] == "inf"
     assert reports["simulate"]["estimates"]["work"]["mean"] == "inf"
+    kernel = {(e["from"], e["to"]): e["prob"]
+              for e in reports["reduce"]["kernel"]}
+    assert kernel[("work", "work")] == 1.0 - 1.0 / (2.0 + float(c))
     # both sides inf: the gap is 0, not inf - inf
     assert reports["simulate"]["abs_deviation"] == {"absorb": 0.0,
                                                     "work": 0.0}

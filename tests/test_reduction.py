@@ -1,5 +1,8 @@
+import itertools
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from riskctmdp.reduction import (ROW_SUM_TOL, DtmdpModel,
 from riskctmdp.solver import (ValueFunction, bellman_apply,
                               evaluate_policy_iterative,
                               evaluate_policy_linear, optimality_residual)
+import exact
 
 
 def test_weight_two_state(two_state):
@@ -88,13 +92,161 @@ def test_every_model_that_validates_reduces(arrays):
     assert (np.abs(dtmdp.kernel.sum(axis=2) - 1.0) <= ROW_SUM_TOL).all()
 
 
+# small dyadic rates and cost rates, so that Fractions stay short; cost
+# rates also at and just around the total rate
+_RATES = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+_COST_SHARES = st.sampled_from([0.0, 0.0, 0.125, 0.5, 0.875, 1.0, 1.125, 2.0])
+
+
+@st.composite
+def _models_and_weights(draw):
+    """A CtmdpModel with up to 3 states and 2 actions, and a valid weight
+    per pair, w >= q and w > c, as Fractions: the reduction's own (q where
+    c < q, else the paper's w(x)), the paper's w(x), or q or c plus a
+    drawn margin (positive where c >= q)."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rates = np.array(draw(st.lists(_RATES, min_size=n * m * n,
+                                   max_size=n * m * n))).reshape(n, m, n)
+    rates[np.arange(n), :, np.arange(n)] = 0.0
+    shares = np.array(draw(st.lists(_COST_SHARES, min_size=n * m,
+                                    max_size=n * m))).reshape(n, m)
+    # a cost rate in proportion to the total rate, or on its own where
+    # the total rate is 0
+    total = rates.sum(axis=2)
+    costs = shares * np.where(total > 0.0, total, 1.0)
+    admissible = [sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+                  for _ in range(n)]
+    model = CtmdpModel(tuple(f"s{x}" for x in range(n)),
+                       tuple(f"a{a}" for a in range(m)), admissible,
+                       rates, costs)
+    rule = draw(st.sampled_from(["reduction", "paper", "drawn"]))
+    weight = []
+    for x in range(n):
+        q = {a: sum(map(Fraction, rates[x, a])) for a in admissible[x]}
+        c = {a: Fraction(costs[x, a]) for a in admissible[x]}
+        paper = 1 + max(c.values()) + max(q.values())
+        row = {}
+        for a in admissible[x]:
+            if rule == "paper" or (rule == "reduction" and not c[a] < q[a]):
+                row[a] = paper
+            elif rule == "reduction":
+                row[a] = q[a]
+            else:  # w > c needs a positive margin where c >= q
+                low = 0 if c[a] < q[a] else 1
+                margin = Fraction(draw(st.integers(low, 3)),
+                                  draw(st.sampled_from([1, 4])))
+                row[a] = max(q[a], c[a]) + margin
+        weight.append(row)
+    return model, weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(_models_and_weights())
+def test_every_valid_weight_keeps_every_policy_value(drawn):
+    """The reduction's invariance, in exact arithmetic and without the
+    package's reduction: with any weight w >= q, w > c per pair, the
+    kernel rates/w + (1 - q/w) I and the step factor w/(w - c) give every
+    stationary policy the value of the jump process, infinite states
+    included."""
+    model, weight = drawn
+    for choice in itertools.product(*model.admissible):
+        assert exact.reduced_policy_value(model, choice, weight) \
+            == exact.policy_value(model, choice)
+
+
+def _edge_model():
+    """One state per kind of pair: 'sink' (q = 0, c = 0), 'burn' (q = 0,
+    c = 2), 'slow' (q = 1 < c = 3), 'even' (q = c = 2) and 'fast' (q = 4,
+    c = 1), whose second action is inadmissible; every other state's
+    second action is admissible with c < q."""
+    rates = np.zeros((5, 2, 5))
+    costs = np.zeros((5, 2))
+    rates[2, 0, 0], costs[2, 0] = 1.0, 3.0
+    rates[3, 0, [0, 4]], costs[3, 0] = 1.0, 2.0
+    rates[4, 0, [0, 2, 3]], costs[4, 0] = [1.0, 2.0, 1.0], 1.0
+    rates[4, 1, 0], costs[4, 1] = 5.0, 7.0  # inadmissible
+    rates[:4, 1, 4], costs[:4, 1] = [3.0, 0.5, 1.0, 6.0], [0.0, 0.25, 0.5, 2.0]
+    costs[1, 0] = 2.0
+    return CtmdpModel(("sink", "burn", "slow", "even", "fast"), ("u", "v"),
+                      [[0, 1], [0, 1], [0, 1], [0, 1], [0]], rates, costs)
+
+
+def test_pairs_without_a_jump_below_their_cost_keep_the_paper_weight():
+    """Pairs with q = 0 (at c = 0 and at c > 0) and pairs with c >= q keep
+    the paper's row: rates/w(x), the leftover mass 1 - q/w(x) at x, and
+    the step cost ln(w/(w - c)) as log1p(c/(w - c)), the slack floored
+    at 1; inadmissible pairs keep an identity row at zero cost."""
+    model = _edge_model()
+    dtmdp = build_equivalent_dtmdp(model)
+    w = model.weight
+    for x, a in ((0, 0), (1, 0), (2, 0), (3, 0)):
+        want = model.rates[x, a] / w[x]
+        want[x] = 1.0 - model.total_rates[x, a] / w[x]
+        assert dtmdp.kernel[x, a].tolist() == want.tolist()
+        c = model.costs[x, a]
+        assert dtmdp.step_cost[x, a] == math.log1p(c / max(w[x] - c, 1.0))
+        assert dtmdp.step_cost[x, a] == pytest.approx(
+            math.log(w[x] / (w[x] - c)), rel=1e-15, abs=0.0)
+    assert dtmdp.kernel[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert dtmdp.step_cost[0, 0] == 0.0
+    assert dtmdp.kernel[1, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert dtmdp.step_cost[1, 0] == math.log1p(2.0 / (w[1] - 2.0)) > 0.0
+    assert dtmdp.kernel[4, 1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert dtmdp.step_cost[4, 1] == 0.0
+
+
+def test_pairs_with_a_jump_below_their_cost_are_the_jump_chain():
+    """Pairs with c < q take w = q: no self-loop, rates/q elsewhere, rows
+    that sum to 1 within ROW_SUM_TOL, and the step cost
+    log1p(c/(q - c)) = ln(q/(q - c)), the log of the sojourn factor."""
+    model = _edge_model()
+    dtmdp = build_equivalent_dtmdp(model)
+    pairs = [(4, 0), (0, 1), (1, 1), (2, 1), (3, 1)]
+    for x, a in pairs:
+        q, c = model.total_rates[x, a], model.costs[x, a]
+        assert c < q
+        assert dtmdp.kernel[x, a, x] == 0.0
+        assert dtmdp.kernel[x, a].tolist() == (model.rates[x, a] / q).tolist()
+        assert abs(dtmdp.kernel[x, a].sum() - 1.0) <= ROW_SUM_TOL
+        assert dtmdp.step_cost[x, a] == math.log1p(c / (q - c))
+    assert dtmdp.kernel[4, 0].tolist() == [0.25, 0.0, 0.5, 0.25, 0.0]
+    assert dtmdp.step_cost[4, 0] == pytest.approx(math.log(4 / 3), rel=1e-15)
+    assert dtmdp.step_cost[0, 1] == 0.0
+
+
+def test_jump_chain_rows_have_no_self_loop(monotone_corpus):
+    for item in monotone_corpus[:50]:
+        model, dtmdp = item.model, item.dtmdp
+        jump = model.admissible_mask & (model.costs < model.total_rates)
+        x, a = np.nonzero(jump)
+        assert (dtmdp.kernel[x, a, x] == 0.0).all()
+        assert (np.abs(dtmdp.kernel[x, a].sum(axis=1) - 1.0)
+                <= ROW_SUM_TOL).all()
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e-5, 0.5, 1.0 - 1e-10])
+def test_the_step_cost_keeps_every_digit(c):
+    """At q = 1 the step cost ln(1/(1 - c)) is within 2 ulps of its value
+    to 40 digits, also where c is small: log(q/(q - c)) would lose about
+    8e-8 of it at c = 1e-10."""
+    dtmdp = build_equivalent_dtmdp(gen_example("two_state", {"q": 1, "c": c},
+                                               0))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = -(1 - Decimal(c)).ln()
+    got = dtmdp.step_cost[1, 0]
+    assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(got))
+
+
 def test_reduce_two_state(two_state):
+    """work (q = 4 > c = 1) takes the weight q: it jumps to absorb with
+    probability 1 at the sojourn factor q/(q - c) = 4/3."""
     dtmdp = build_equivalent_dtmdp(two_state)
     work = two_state.state_index("work")
     absorb = two_state.state_index("absorb")
-    assert dtmdp.kernel[work, 0, absorb] == pytest.approx(2 / 3, abs=1e-15)
-    assert dtmdp.kernel[work, 0, work] == pytest.approx(1 / 3, abs=1e-15)
-    assert dtmdp.step_cost[work, 0] == pytest.approx(math.log(6 / 5),
+    assert dtmdp.kernel[work, 0, absorb] == 1.0
+    assert dtmdp.kernel[work, 0, work] == 0.0
+    assert dtmdp.step_cost[work, 0] == pytest.approx(math.log(4 / 3),
                                                      abs=1e-15)
     # absorbing state: exact identity row at exactly zero cost
     assert dtmdp.kernel[absorb, 0].tolist() == [1.0, 0.0]
@@ -109,8 +261,7 @@ def test_reduce_zero_cost_positive_rate_row():
     })
     dtmdp = build_equivalent_dtmdp(model)
     assert dtmdp.step_cost[1, 0] == 0.0  # zero cost rate, exactly
-    assert dtmdp.kernel[1, 0, 0] == pytest.approx(3 / 4, abs=1e-15)
-    assert dtmdp.kernel[1, 0, 1] == pytest.approx(1 / 4, abs=1e-15)
+    assert dtmdp.kernel[1, 0].tolist() == [1.0, 0.0]  # w = q = 3
 
 
 def test_kernel_rows_are_probability_vectors(monotone_corpus):
@@ -148,22 +299,30 @@ def test_reduction_preserves_index_spaces(monotone_corpus):
     assert item.dtmdp.admissible == item.model.admissible
 
 
+def _pair_weight(model, x, a):
+    """The weight the reduction gives the admissible pair (x, a): its total
+    rate q where its cost rate is below q, else CtmdpModel.weight[x]."""
+    q, c = model.total_rates[x, a], model.costs[x, a]
+    return q if c < q else model.weight[x]
+
+
 def _per_action_quantities(model, dtmdp, v):
     """Continuous-time residual and one-step values action by action."""
-    w = model.weight
     rows = []
     for x in range(model.n_states):
         for a in model.admissible[x]:
             ct = (model.costs[x, a] * v[x] + model.rates[x, a] @ v
                   - model.total_rates[x, a] * v[x])
             step = math.exp(dtmdp.step_cost[x, a]) * (dtmdp.kernel[x, a] @ v)
-            rows.append((x, a, ct, (w[x] - model.costs[x, a]) * (step - v[x])))
+            w = _pair_weight(model, x, a)
+            rows.append((x, a, ct, (w - model.costs[x, a]) * (step - v[x])))
     return rows
 
 
 def test_residual_equivalence_identity(monotone_corpus):
     """The continuous-time residual equals (w - c) times the one-step gap,
-    action by action, so solving one equation is solving the other."""
+    w the pair's weight, action by action, so solving one equation is
+    solving the other."""
     rng = np.random.default_rng(4)
     for item in monotone_corpus[:25]:
         n = item.model.n_states
@@ -191,7 +350,7 @@ def test_solution_transfer_on_solved_values(monotone_corpus):
 def test_non_solution_violates_both(two_state, two_state_dtmdp):
     ones = ValueFunction.constant(2)
     stepped = bellman_apply(two_state_dtmdp, ones)[0]
-    assert stepped.values[1] - 1.0 == pytest.approx(0.2, abs=1e-12)
+    assert stepped.values[1] - 1.0 == pytest.approx(1 / 3, abs=1e-12)
     res = optimality_residual(two_state, ones)
     assert res[1] == pytest.approx(1.0, abs=1e-12)  # c + q - q*1 = 1
 

@@ -16,7 +16,7 @@ from riskctmdp.solver import (SolverError, ValueFunction, bellman_apply,
                               evaluate_policy_linear, optimality_residual,
                               policy_iterate, solve_ctmdp, value_iterate)
 import exact
-from conftest import only_policy, periodic_class
+from conftest import only_policy, paper_uniformization, periodic_class
 
 TWO_STATE_VALUE = 4.0 / 3.0  # holding-time transform of Exp(4) at cost rate 1
 PURE_BIRTH_VALUE = 1024.0 / 315.0  # product of per-level transforms
@@ -48,12 +48,21 @@ def _two_action_two_state():
 
 
 class TestBellmanApply:
-    def test_two_state_first_sweeps(self, two_state_dtmdp):
+    def test_two_state_first_sweeps(self, two_state_dtmdp, two_state):
+        """The embedded jump chain reaches the value in one sweep; under
+        the paper's weight w = 6, 'work' stays put with probability 1/3
+        at the factor 6/5, and the sweeps climb 1.2, 1.28, ..."""
         ones = ValueFunction.constant(2)
         first, _ = bellman_apply(two_state_dtmdp, ones)
         assert first.values[0] == 1.0
-        assert first.values[1] == pytest.approx(1.2, abs=1e-14)
+        assert first.values[1] == pytest.approx(TWO_STATE_VALUE, abs=1e-14)
         second, _ = bellman_apply(two_state_dtmdp, first)
+        assert second.values.tolist() == first.values.tolist()
+        uniformized = paper_uniformization(two_state)
+        first, _ = bellman_apply(uniformized, ones)
+        assert first.values[0] == 1.0
+        assert first.values[1] == pytest.approx(1.2, abs=1e-14)
+        second, _ = bellman_apply(uniformized, first)
         assert second.values[1] == pytest.approx(1.28, abs=1e-14)
 
     def test_zero_cost_preserves_ones(self):
@@ -87,18 +96,26 @@ class TestBellmanApply:
 
 
 class TestValueIterate:
-    def test_two_state_value_and_contraction(self, two_state_dtmdp):
-        report = value_iterate(two_state_dtmdp, tol=1e-12)
-        assert report.converged
-        assert report.value[1] == pytest.approx(TWO_STATE_VALUE, abs=1e-10)
-        assert report.value[0] == 1.0
-        assert not report.infinite_states
-        assert report.sup_residual <= 1e-11
+    def test_two_state_value_and_contraction(self, two_state_dtmdp,
+                                             two_state):
+        """The embedded jump chain stops on its second sweep, which
+        changes nothing; under the paper's weight the iterates approach
+        the value at the ratio 2/5, the self-loop's 1/3 times 6/5."""
+        uniformized = paper_uniformization(two_state)
+        for dtmdp in (two_state_dtmdp, uniformized):
+            report = value_iterate(dtmdp, tol=1e-12)
+            assert report.converged
+            assert report.value[1] == pytest.approx(TWO_STATE_VALUE,
+                                                    abs=1e-10)
+            assert report.value[0] == 1.0
+            assert not report.infinite_states
+            assert report.sup_residual <= 1e-11
+        assert value_iterate(two_state_dtmdp, tol=1e-12).iterations == 2
         # iterates approach at ratio 2/5
         v = ValueFunction.constant(2)
         gaps = []
         for _ in range(6):
-            v = bellman_apply(two_state_dtmdp, v)[0]
+            v = bellman_apply(uniformized, v)[0]
             gaps.append(TWO_STATE_VALUE - v.values[1])
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         assert ratios == pytest.approx([0.4] * 5, abs=1e-9)
@@ -132,8 +149,9 @@ class TestValueIterate:
         assert report.infinite_states == frozenset({0, 1})
         assert report.converged
 
-    def test_max_iters_exhaustion_reports_not_converged(self, two_state_dtmdp):
-        report = value_iterate(two_state_dtmdp, tol=1e-12, max_iters=3)
+    def test_max_iters_exhaustion_reports_not_converged(self, two_state):
+        report = value_iterate(paper_uniformization(two_state), tol=1e-12,
+                               max_iters=3)
         assert not report.converged
         assert report.iterations == 3
 
@@ -685,7 +703,10 @@ def _overflowing_chain_value(chain):
 
 
 def _two_state(c):
-    return build_equivalent_dtmdp(gen_example("two_state", {"q": 1, "c": c}, 0))
+    """two_state q=1 under the paper's weight: 'work' keeps a self-loop,
+    so value iteration takes about 1/(1 - c) sweeps (the embedded jump
+    chain takes 2)."""
+    return paper_uniformization(gen_example("two_state", {"q": 1, "c": c}, 0))
 
 
 def _divergent():
@@ -707,20 +728,20 @@ def _restricted(kernel, step_cost, seed):
 
 
 def _restricted_random(seed):
-    full = build_equivalent_dtmdp(gen_example("random", {"n": 64, "m": 8},
-                                              seed))
+    full = paper_uniformization(gen_example("random", {"n": 64, "m": 8},
+                                            seed))
     return _restricted(full.kernel, full.step_cost, seed)
 
 
 def _leaking_into_growth(seed=1):
-    """The reduced `gen random` n=12 m=3 model beside the divergent
-    birth_death levels=5 one; the last action of each random state leaks
-    a tenth of its mass to the top level.  At seed 1, restricted, s5 is
-    left that action only and s10 one action into s5: with s13-s17 they
-    are infinite, the rest finite."""
-    finite = build_equivalent_dtmdp(gen_example("random", {"n": 12, "m": 3},
-                                                seed))
-    growing = build_equivalent_dtmdp(gen_example(
+    """The `gen random` n=12 m=3 model beside the divergent birth_death
+    levels=5 one, both under the paper's weight; the last action of each
+    random state leaks a tenth of its mass to the top level.  At seed 1,
+    restricted, s5 is left that action only and s10 one action into s5:
+    with s13-s17 they are infinite, the rest finite."""
+    finite = paper_uniformization(gen_example("random", {"n": 12, "m": 3},
+                                              seed))
+    growing = paper_uniformization(gen_example(
         "birth_death", {"levels": 5, "birth": 3, "death": 1, "cost": 1}, 0))
     n = 12 + growing.n_states
     kernel, step_cost = np.zeros((n, 3, n)), np.zeros((n, 3))
@@ -753,7 +774,8 @@ LOOP_CASES = [
 
 # policy_iterate on the restricted cases: sha256 of the values' bytes, the
 # policy's action indices and the infinite states, pinned as computed with
-# np.where masking the inadmissible pairs
+# np.where masking the inadmissible pairs, on the models that the paper's
+# weight gives (paper_uniformization)
 RESTRICTED_SOLVED = {
     "random64x8-1-restricted": (
         "8b7e36354b8656c79be9fca6337cb3214adf087806b29c4c86cc125914d3d115",
