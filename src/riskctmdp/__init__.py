@@ -5,8 +5,9 @@ A finite jump-process model (states, actions, rates, cost rates) is
 reduced to a discrete-time model on the same state and action spaces whose
 multiplicative-cost value function coincides with the original one: the
 embedded jump chain (weight w = q, the total rate) at each pair whose cost
-rate c is below q, and the paper's uniformization weight w(x) = 1 + max c
-+ max q, one valid choice everywhere, at the others.  Policy iteration,
+rate c is below q, and an identity row, at the step factor 2 where c > 0
+and 1 where c = 0, at the others, whose value is infinite or 1 as the
+jump process's is.  Policy iteration,
 started from value-iteration sweeps on the reduced model until they
 converge, at most 20, then yields values and an optimal stationary
 policy, cross-checkable by exact policy evaluation, a brute-force

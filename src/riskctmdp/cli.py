@@ -59,6 +59,13 @@ def _gaps(a, b) -> np.ndarray:
     return np.abs(np.subtract(a, b, out=np.zeros(a.shape), where=a != b))
 
 
+def _relative_gaps(a, b) -> np.ndarray:
+    """_gaps(a, b) divided by b where b is finite, b >= 1 there: one ulp
+    of a large value is a gap of about 1e-16, not of 1 or more."""
+    gaps = _gaps(a, b)
+    return np.divide(gaps, b, out=gaps, where=np.isfinite(b))
+
+
 def _solver_options(args) -> dict:
     """The solver arguments that `args` has and sets; the solver the rest."""
     options = {k: getattr(args, k, None) for k in ("tol", "max_iters")}
@@ -144,7 +151,7 @@ def _cmd_oracle(args):
     for h in range(1, args.horizon + 1):
         sweep = solver.bellman_apply(dtmdp, sweep)[0]
         exact = solver.finite_horizon_oracle(dtmdp, h)
-        gap = float(np.max(_gaps(sweep.values, exact.values)))
+        gap = float(np.max(_relative_gaps(sweep.values, exact.values)))
         per_horizon[str(h)] = gap
         worst = max(worst, gap)
     status = EXIT_OK if worst <= ORACLE_MATCH_TOL else EXIT_ORACLE_MISMATCH

@@ -202,17 +202,15 @@ class CtmdpModel(IndexedModel):
 
     rates[x, a, y] is the jump rate from x to y (zero on the diagonal),
     costs[x, a] the cost rate; both must be finite and nonnegative.
-    total_rates is cached, and weight[x] = 1 + max cost rate + max total
-    rate over the admissible actions of x: the reduction's weight, its
-    smallest admissible choice, with w - c >= 1 + max total rate.  Every
-    total rate and every weight must be a float too: all that the reduction
-    and the generator-form evaluator derive from the rates lies under it.
+    total_rates is cached.  Every total rate must be a float, and so must
+    total rate + cost rate at every admissible pair: the reduction and the
+    generator-form evaluator derive nothing from the rates and costs of a
+    pair beyond that sum.
     """
 
     rates: np.ndarray  # (n_states, n_actions, n_states), diagonal zero
     costs: np.ndarray  # (n_states, n_actions)
     total_rates: np.ndarray = field(init=False, repr=False)  # (n, m)
-    weight: np.ndarray = field(init=False, repr=False)  # (n,)
 
     _ARRAYS = ("rates", "costs")
 
@@ -234,23 +232,19 @@ class CtmdpModel(IndexedModel):
                     f"NaN {what} at {where}" if np.isnan(v)
                     else f"negative {what} at {where}: {v}" if v < 0.0
                     else f"infinite {what} at {where}")
-        adm_mask = self.admissible_mask
         with np.errstate(over="ignore"):
             total = self.rates.sum(axis=2)
-            weight = (1.0 + np.where(adm_mask, self.costs, 0.0).max(axis=1)
-                      + np.where(adm_mask, total, 0.0).max(axis=1))
+            gross = total + self.costs
         bad = np.argwhere(np.isinf(total))
         if len(bad):
             raise ModelError(
                 f"total rate at {self._at(*bad[0])} is beyond the float range")
-        bad = np.flatnonzero(np.isinf(weight))
+        bad = np.argwhere(self.admissible_mask & np.isinf(gross))
         if len(bad):
-            raise ModelError(
-                f"weight 1 + max cost rate + max total rate of state "
-                f"'{self.states[bad[0]]}' is beyond the float range")
+            raise ModelError(f"total rate + cost rate at {self._at(*bad[0])} "
+                             "is beyond the float range")
         object.__setattr__(self, "total_rates", total)
-        object.__setattr__(self, "weight", weight)
-        for arr in (self.rates, self.costs, total, weight):
+        for arr in (self.rates, self.costs, total):
             arr.setflags(write=False)
 
     def to_dict(self) -> dict:

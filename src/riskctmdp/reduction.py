@@ -8,10 +8,11 @@ the state and action only, makes the exponential-utility value of that
 chain coincide with the value of the original jump process, as the number
 of self-loops before each jump times their cost leaves the sojourn factor
 q/(q - c) whatever w is.  The reduction takes w = q where c < q, so that
-such a pair's row is the embedded jump chain's, with no self-loop, and
-the paper's per-state weight w(x) = 1 + max cost rate + max total rate
-(CtmdpModel.weight) elsewhere.  States, actions and admissible sets are
-preserved, so policies transfer verbatim: both model classes share
+such a pair's row is the embedded jump chain's, with no self-loop.  Every
+other pair needs no weight: its sojourn factor is 1 at q = c = 0 and
+infinite at c >= q, and an identity row, at zero cost or at a positive
+one, has that value.  States, actions and admissible sets are preserved,
+so policies transfer verbatim: both model classes share
 model.IndexedModel, which owns the name rules, the indexing and the policy
 check.
 """
@@ -40,7 +41,7 @@ class DtmdpModel(IndexedModel):
     cost factor of a step from x under a: a step's cost depends on its
     state and action only, as in the reduction.  The factor must be a
     float, so step_cost is at most ln of the largest float, about 709.78;
-    the reduction's w/(w - c) always is.  step_weights = kernel *
+    the reduction's q/(q - c) and 2 always are.  step_weights = kernel *
     exp(step_cost), the weights of the one-step operator, is computed once
     here.  log_cost is step_cost broadcast over the successor axis, a
     read-only view of its memory, kept for per-transition readers outside
@@ -104,29 +105,24 @@ class DtmdpModel(IndexedModel):
 def build_equivalent_dtmdp(model: CtmdpModel) -> DtmdpModel:
     """Embed the jump process into a discrete-time model with equal value.
 
-    An admissible pair with cost rate c below its total rate q takes the
-    weight w = q: kernel(x,a)[y] = rates(x,a,y)/q, no self-loop, and
-    step_cost(x,a) = ln(q/(q - c)); q - c > 0 as c < q, so that holds
-    without a floor.  Every other admissible pair, q = 0 or c >= q, takes
-    w = model.weight, the paper's w(x): kernel(x,a)[y] = rates(x,a,y)/w
-    for y != x with the leftover mass 1 - q/w kept at x, and step_cost =
-    ln(w/(w - c)), with the slack w - c, at least 1 + max total rate,
-    floored at 1 where rounding took it lower: every model that CtmdpModel
-    accepts reduces.  Each step cost is computed as log1p(c / slack),
-    which keeps every digit where c is small against the slack.
-    Inadmissible pairs get an identity row at zero cost so that every row
-    stays stochastic.
+    An admissible pair with cost rate c below its total rate q, a jump
+    pair, takes the weight w = q: kernel(x,a)[y] = rates(x,a,y)/q, no
+    self-loop, and step_cost(x,a) = ln(q/(q - c)), computed as
+    log1p(c/(q - c)), which keeps every digit where c is small against
+    q - c.  Every other pair gets an identity row: at cost ln 2, a step
+    factor of exactly 2, if it is admissible with c > 0, so that every
+    state that reaches it is infinite, and at zero cost otherwise, where
+    q = c = 0 and the value is 1 or the pair is inadmissible.
     """
     n = model.n_states
     q, c = model.total_rates, model.costs
     adm = model.admissible_mask
     jump = adm & (c < q)
-    w = np.where(jump, q, model.weight[:, None])
-    kernel = model.rates / w[:, :, None]
-    idx = np.arange(n)
-    kernel[idx, :, idx] = 1.0 - q / w  # exactly 0 where w = q
-    slack = np.where(jump, q - c, np.maximum(w - c, 1.0))
-    step_cost = np.where(adm, np.log1p(c / slack), 0.0)
-    kernel[~adm] = np.eye(n)[np.nonzero(~adm)[0]]
+    # off the jump pairs, 1 stands in for q and q - c: those rows and
+    # step costs are overwritten or discarded
+    kernel = model.rates / np.where(jump, q, 1.0)[:, :, None]
+    kernel[~jump] = np.eye(n)[np.nonzero(~jump)[0]]
+    step_cost = np.where(jump, np.log1p(c / np.where(jump, q - c, 1.0)),
+                         np.where(adm & (c > 0.0), np.log(2.0), 0.0))
     return DtmdpModel(model.states, model.actions, model.admissible, kernel,
                       step_cost)

@@ -325,11 +325,11 @@ def _policy_system(model, choice: np.ndarray):
 
     On the discrete-time model d = 1 - W(x, x) and inflow is W off the
     diagonal, W the policy's step weights.  On the continuous-time model
-    these equations times w - c, w the reduction's weight at the pair,
-    read d = total rate - cost rate and inflow = rates: the weight
-    cancels, the reduction's floor on w - c plays no part, and d keeps
-    every digit when the cost rate is close to the total rate, where
-    1 - W(x, x) may have lost them to rounding.
+    d = total rate - cost rate and inflow = rates: at a jump pair of the
+    reduction (c < q) these are its equations times q - c, at a pair
+    with q = c = 0 both are 0 = 0, and at any other pair d <= 0 with
+    nonnegative inflow, as the reduction's identity row at a positive
+    cost has d = 1 - 2 < 0: no positive solution, the state is infinite.
     """
     rows = np.arange(model.n_states)
     if isinstance(model, CtmdpModel):
@@ -424,8 +424,8 @@ def evaluate_policy_linear(model, policy: StationaryPolicy) -> ValueFunction:
     """Exact fixed-policy value from one linear solve, certified.
 
     model is a DtmdpModel, or the CtmdpModel it was reduced from: both
-    have the same value, and the continuous-time form solves the same
-    equations without the uniformization weight (see _policy_system).
+    have the same value, and the continuous-time model gives its
+    equations in generator form (see _policy_system).
 
     States that cannot reach a positive cost under the policy, every
     closed zero-cost class among them, have value exactly 1.  A state

@@ -30,7 +30,7 @@ OracleItem = namedtuple("OracleItem", "seed model dtmdp report horizon_max")
 
 
 # rates whose sums leave the float range: two rates of 1e308 out of one
-# state, and a rate of 1.7e308 beside a cost rate of 1e308
+# pair, and a rate of 1.7e308 beside a cost rate of 1e308 at one pair
 OVERFLOWING_MODELS = [
     ({"states": ["a", "b", "c"], "actions": ["u"], "rates": [
         {"from": "a", "action": "u", "to": "b", "rate": 1e308},
@@ -39,8 +39,7 @@ OVERFLOWING_MODELS = [
     ({"states": ["a", "b"], "actions": ["u"],
       "rates": [{"from": "a", "action": "u", "to": "b", "rate": 1.7e308}],
       "costs": [{"state": "a", "action": "u", "rate": 1e308}]},
-     "weight 1 + max cost rate + max total rate of state 'a' is beyond the "
-     "float range"),
+     "total rate + cost rate at ('a', 'u') is beyond the float range"),
 ]
 
 
@@ -82,16 +81,18 @@ def periodic_class():
 
 def paper_uniformization(model):
     """The discrete-time model of `model` under the paper's per-state
-    weight w(x) = CtmdpModel.weight at every pair: kernel rates/w with the
-    leftover mass 1 - q/w at x, step cost ln(w/(w - c)) with w - c
-    floored at 1, identity rows at zero cost for inadmissible pairs.  Its
-    value is that of build_equivalent_dtmdp(model), which takes w = q
-    where c < q, but every such pair keeps a self-loop here, so value
+    weight w(x) = 1 + max cost rate + max total rate over the admissible
+    actions of x, at every pair: kernel rates/w with the leftover mass
+    1 - q/w at x, step cost ln(w/(w - c)) with w - c floored at 1,
+    identity rows at zero cost for inadmissible pairs.  Its value is that
+    of build_equivalent_dtmdp(model), which takes w = q where c < q, but
+    every such pair keeps a self-loop here, so value
     iteration on it takes the many sweeps that tests of the sweep budget
     and of the power steps need."""
     n = model.n_states
-    w = model.weight
     adm = model.admissible_mask
+    w = (1.0 + np.where(adm, model.costs, 0.0).max(axis=1)
+         + np.where(adm, model.total_rates, 0.0).max(axis=1))
     kernel = model.rates / w[:, None, None]
     idx = np.arange(n)
     kernel[idx, :, idx] = 1.0 - model.total_rates / w[:, None]

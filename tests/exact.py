@@ -116,14 +116,20 @@ def reduced_policy_value(model, choice, weight):
     rate q and cost rate c.  The pair's kernel row is rates/w + (1 - q/w)
     at x itself and its step factor F = w/(w - c), so the value solves
     V = F P V: (1 - F P(x, x)) V(x) = sum over y != x of F P(x, y) V(y),
-    P the kernel rows under the policy.  Nothing but the weight is shared
-    with policy_value, so their agreement checks that the reduction keeps
-    the value whatever valid weight it takes.
+    P the kernel rows under the policy.  weight[x][a] None stands for an
+    identity row, P(x, x) = 1, at F = 2 where c > 0 and F = 1 where c = 0.
+    Nothing but the weight is shared with policy_value, so their agreement
+    checks that the reduction keeps the value whatever valid weight it
+    takes.
     """
     rates, cost = _pairs(model, choice)
     diag, inflow = [], []
     for x, (row, c) in enumerate(zip(rates, cost)):
         w = weight[x][choice[x]]
+        if w is None:
+            diag.append(1 - (2 if c > 0 else 1))
+            inflow.append([Fraction(0)] * len(row))
+            continue
         assert w >= sum(row) and w > c, (x, w)
         factor = w / (w - c)
         stay = 1 - sum(row) / w
@@ -155,12 +161,11 @@ def assert_optimal_actions(model, choice, rtol):
             - q(x, a) V(x)
 
     is exact.  It is 0 for the policy's own action, and no other action
-    is better by more than rtol: r >= -rtol (w - c(x, a)) V(x), w the
-    pair's weight in the reduction: q(x, a) where c(x, a) < q(x, a), else
-    the paper's 1 + the largest cost rate + the largest total rate over
-    the admissible actions at x.  On the discrete-time model that reads
-    (W_a V)(x) >= (1 - rtol) V(x), the rule by which policy iteration
-    declines to switch an action.
+    is better by more than rtol: r >= -rtol (q(x, a) - c(x, a)) V(x)
+    where c(x, a) < q(x, a), which on the reduction's jump-chain row
+    reads (W_a V)(x) >= (1 - rtol) V(x), the rule by which policy
+    iteration declines to switch an action.  Where c(x, a) >= q(x, a),
+    r = (c - q) V(x) + sum of rates(x, a, y) V(y) >= 0 exactly.
     """
     value = policy_value(model, choice)
     n = model.n_states
@@ -171,10 +176,7 @@ def assert_optimal_actions(model, choice, rtol):
                  for a in model.admissible[x]}
         cost = {a: Fraction(float(model.costs[x, a]))
                 for a in model.admissible[x]}
-        paper = 1 + max(cost.values()) + max(sum(row)
-                                             for row in rates.values())
         for a, row in rates.items():
-            w = sum(row) if cost[a] < sum(row) else paper
             if any(r > 0 and value[y] == math.inf for y, r in enumerate(row)):
                 continue
             r = (cost[a] * value[x] - sum(row) * value[x]
@@ -182,7 +184,8 @@ def assert_optimal_actions(model, choice, rtol):
             if a == choice[x]:
                 assert r == 0, (x, a, r)
             else:
-                assert r >= -Fraction(rtol) * (w - cost[a]) * value[x], \
+                slack = max(sum(row) - cost[a], 0)
+                assert r >= -Fraction(rtol) * slack * value[x], \
                     (x, a, float(r / value[x]))
     return value
 

@@ -349,7 +349,10 @@ def test_report_bytes_unchanged(capsys, args, report):
     alone (20 -> 6, 3 and 2 for random_adm, infinite and near_critical);
     the iterative values of the evaluate reports, which stop within tol,
     moved by at most 3.1e-10 towards the linear ones; and infinite's
-    oracle discrepancy at horizon 3 fell from 4.4e-16 to 0.
+    oracle discrepancy at horizon 3 fell from 4.4e-16 to 0.  When every
+    pair without c < q became an identity row, infinite.reduce.json was
+    written again: at (up0, a1), where c >= q, the paper's self-loop gave
+    way to an identity row at the log-cost ln 2.
     """
     status, out, _ = _run(capsys, *args)
     assert status == 0
@@ -440,6 +443,48 @@ def test_oracle_exit_codes(tmp_path, capsys, monkeypatch):
     assert status == 3
 
 
+# s5's value at horizon 2 is about 8e15, where one ulp is 1 or 2
+ULP_APART_MODEL = {
+    "states": [f"s{x}" for x in range(8)], "actions": ["a0", "a1"],
+    "admissible": {"s0": ["a1"], "s1": ["a1"], "s2": ["a1"], "s3": ["a0"],
+                   "s4": ["a1"], "s5": ["a0"], "s6": ["a0"],
+                   "s7": ["a0", "a1"]},
+    "rates": [
+        {"from": "s5", "action": "a0", "to": "s1",
+         "rate": 0.4235534295629473},
+        {"from": "s5", "action": "a0", "to": "s4",
+         "rate": 0.295392783978201},
+        {"from": "s5", "action": "a0", "to": "s7",
+         "rate": 1.7026181257514188}],
+    "costs": [
+        {"state": "s4", "action": "a1", "rate": 0.611479545845142},
+        {"state": "s5", "action": "a0", "rate": 2.421564339292567},
+        {"state": "s7", "action": "a0", "rate": 1.5988253801736183},
+        {"state": "s7", "action": "a1", "rate": 3.276812631345193}]}
+
+
+def test_oracle_passes_a_sweep_one_ulp_off_a_large_value(tmp_path, capsys):
+    """At s5, c is within 1e-5 of q, and the horizon-2 value is about
+    8e15.  The sweep and the oracle sum its terms in different orders, so
+    they may differ by an ulp or two, far beyond an absolute 1e-8; the
+    discrepancy is relative to the oracle's value, so the run passes."""
+    path = tmp_path / "model.json"
+    path.write_text(jsonio.dumps(ULP_APART_MODEL))
+    status, out, _ = _run(capsys, "oracle", str(path), "--horizon", "2")
+    assert status == 0
+    assert jsonio.loads(out)["max_discrepancy"] <= 4 * np.finfo(float).eps
+
+
+def test_relative_gaps_divide_by_the_oracle_value():
+    """One ulp apart at 1e15 is a gap of 0.125, relative 1.25e-16; both
+    inf is 0 and one inf is inf, whichever side it is on."""
+    big = 1e15
+    above = np.nextafter(big, np.inf)
+    got = cli._relative_gaps(np.array([big, above, np.inf, np.inf, 3.0]),
+                             np.array([above, big, np.inf, 2.0, np.inf]))
+    assert got.tolist() == [0.125 / above, 0.125 / big, 0.0, np.inf, np.inf]
+
+
 def test_gen_rejects_bad_params(capsys):
     status, _, err = _run(capsys, "gen", "--kind", "random", "--params",
                           '{"n": 1, "m": 2}')
@@ -501,7 +546,7 @@ def test_int_beyond_the_float_range_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("raw, message", OVERFLOWING_MODELS,
-                         ids=["total-rate", "weight"])
+                         ids=["total-rate", "total-plus-cost"])
 def test_rates_beyond_the_float_range_exit_1(tmp_path, capsys, raw, message):
     bad = tmp_path / "bad.json"
     bad.write_text(jsonio.dumps(raw))
@@ -580,25 +625,25 @@ def test_an_overflowing_residual_reads_inf(tmp_path):
     assert not check_supersolution(ctmdp, value, value)
 
 
-@pytest.mark.parametrize("c", ["1e17", "1e300", "1e308"])
-def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
-    """At q = 1 and c from 1e17 up, c >= q, so 'work' keeps the paper's
-    weight w and its self-loop; w - c rounds below 1, to 0 where it
-    cancels, and the reduction floors it at 1.  The model validates, so
-    every command runs on it under -W error, with empty stderr, and 'work'
-    is infinite."""
+def _every_command(tmp_path, gen):
+    """Reports of every command on one model, run in one interpreter
+    under -W error, each with status 0 and nothing written to stderr.
+    gen is the gen command's arguments, or the model file's contents;
+    the policy plays a0 at 'absorb' and 'work'."""
     model, policy = tmp_path / "model.json", tmp_path / "policy.json"
     policy.write_text(jsonio.dumps({"policy": {"absorb": "a0",
                                                "work": "a0"}}))
     commands = {
-        "gen": ["--kind", "two_state", "--params",
-                f'{{"q": 1, "c": {c}}}'],
         "validate": [str(model)], "reduce": [str(model)],
         "solve": [str(model)],
         "evaluate": [str(model), "--policy", str(policy)],
         "simulate": [str(model), "--policy", str(policy), "--n", "1000"],
         "oracle": [str(model), "--horizon", "3"],
     }
+    if isinstance(gen, list):
+        commands = {"gen": gen, **commands}
+    else:
+        model.write_text(jsonio.dumps(gen))
     out = {name: model if name == "gen" else tmp_path / f"{name}.json"
            for name in commands}
     argvs = [[name, *args, "--out", str(out[name])]
@@ -612,13 +657,24 @@ def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
         capture_output=True, text=True, env=env, timeout=120)
     assert (result.returncode, result.stderr) == (0, "")
     assert jsonio.loads(result.stdout) == [0] * len(commands)
-    reports = {name: jsonio.loads(path.read_text())
-               for name, path in out.items()}
+    return {name: jsonio.loads(path.read_text()) for name, path in out.items()}
+
+
+@pytest.mark.parametrize("c", ["1e17", "1e300", "1e308"])
+def test_a_cost_rate_that_dwarfs_the_total_rate_runs_every_command(tmp_path,
+                                                                   c):
+    """At q = 1 and c from 1e17 up, c >= q, so 'work' gets an identity row
+    at the log-cost ln 2.  The model validates, so every command runs on
+    it under -W error, with empty stderr, and 'work' is infinite."""
+    reports = _every_command(tmp_path, ["--kind", "two_state", "--params",
+                                        f'{{"q": 1, "c": {c}}}'])
     assert reports["solve"]["values"]["work"] == "inf"
     assert reports["simulate"]["estimates"]["work"]["mean"] == "inf"
     kernel = {(e["from"], e["to"]): e["prob"]
               for e in reports["reduce"]["kernel"]}
-    assert kernel[("work", "work")] == 1.0 - 1.0 / (2.0 + float(c))
+    assert kernel == {("absorb", "absorb"): 1.0, ("work", "work"): 1.0}
+    assert reports["reduce"]["log_cost"] == [
+        {"state": "work", "action": "a0", "value": math.log(2.0)}]
     # both sides inf: the gap is 0, not inf - inf
     assert reports["simulate"]["abs_deviation"] == {"absorb": 0.0,
                                                     "work": 0.0}
@@ -626,3 +682,42 @@ def test_a_cost_rate_that_cancels_the_slack_runs_every_command(tmp_path, c):
     assert reports["evaluate"]["same_infinite_classification"] is True
     assert reports["oracle"]["per_horizon_discrepancy"] == {
         "1": 0.0, "2": 0.0, "3": 0.0}
+
+
+def test_a_cost_rate_equal_to_the_total_rate_is_infinite(tmp_path):
+    """At q = c = 1 the sojourn factor q/(q - c) is infinite.  'work' gets
+    an identity row at the step factor 2, so solve shows it infinite by
+    its second sweep and reports converged; evaluate's iterative
+    evaluator agrees with the linear one.  The jump process's own Monte
+    Carlo only samples e^(c tau), finite every time."""
+    reports = _every_command(tmp_path, ["--kind", "two_state", "--params",
+                                        '{"q": 1, "c": 1}'])
+    solve = reports["solve"]
+    assert solve["values"] == {"absorb": 1.0, "work": "inf"}
+    assert solve["converged"] is True and solve["iterations"] <= 2
+    evaluate = reports["evaluate"]
+    assert evaluate["iterative"]["values"] == {"absorb": 1.0, "work": "inf"}
+    assert evaluate["same_infinite_classification"] is True
+    assert evaluate["max_abs_diff_finite"] == 0.0
+    assert reports["simulate"]["evaluated_values"]["work"] == "inf"
+    assert reports["oracle"]["max_discrepancy"] == 0.0
+
+
+def test_a_state_whose_paper_weight_overflows_runs_every_command(tmp_path):
+    """At 'work', a0 has c >= q and a1 has q = 0 < c.  Each pair's q + c
+    is a float, but 1 + max c + max q of the state is not: the model
+    validates, every command runs on it under -W error, and 'work' is
+    infinite under both actions."""
+    raw = {"states": ["absorb", "work"], "actions": ["a0", "a1"],
+           "rates": [{"from": "work", "action": "a0", "to": "absorb",
+                      "rate": 8e307}],
+           "costs": [{"state": "work", "action": "a0", "rate": 9e307},
+                     {"state": "work", "action": "a1", "rate": 1.7e308}]}
+    reports = _every_command(tmp_path, raw)
+    assert reports["validate"]["costs"] == raw["costs"]
+    assert reports["solve"]["values"] == {"absorb": 1.0, "work": "inf"}
+    assert reports["solve"]["converged"] is True
+    assert reports["evaluate"]["same_infinite_classification"] is True
+    assert [e["value"] for e in reports["reduce"]["log_cost"]] == [
+        math.log(2.0)] * 2
+    assert reports["oracle"]["max_discrepancy"] == 0.0

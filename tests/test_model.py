@@ -21,14 +21,12 @@ def test_validate_two_state_caches():
     assert model.states == ("absorb", "work")
     assert model.total_rates[1, 0] == 4.0
     assert model.total_rates[0, 0] == 0.0
-    assert model.weight.tolist() == [1.0, 6.0]  # 1 + max cost + max total
     # admissible defaults to every action
     assert model.admissible == ((0,), (0,))
 
 
 @pytest.mark.parametrize("name, value", [
-    ("total_rates", np.full((2, 1), 99.0)),
-    ("weight", np.full(2, 99.0))])
+    ("total_rates", np.full((2, 1), 99.0))])
 def test_derived_arrays_are_not_constructor_arguments(name, value):
     """The model derives these from rates and costs; a value passed in
     would be silently overwritten, so passing one is an error."""
@@ -116,7 +114,6 @@ def test_total_rate_pure_birth():
     model = gen_example("pure_birth", {"N": 4, "kappa": 1.0}, 0)
     assert model.total_rates[2, 0] == 8.0  # rate doubles per level
     assert model.total_rates[4, 0] == 0.0
-    assert model.weight.tolist() == [4.0, 6.0, 10.0, 18.0, 1.0]
 
 
 def test_admissible_restricts_cached_maxima():
@@ -134,8 +131,31 @@ def test_admissible_restricts_cached_maxima():
         ],
     }
     model = validate_model(raw)
-    # inadmissible entries are stored but excluded from the weight's maxima
-    assert model.weight[1] == 6.0  # 1 + 1 + 4
+    # inadmissible entries are stored
+    assert model.total_rates[1].tolist() == [4.0, 100.0]
+    assert model.costs[1].tolist() == [1.0, 50.0]
+
+
+def test_only_admissible_pairs_must_keep_rate_plus_cost_a_float():
+    """total rate + cost rate must be a float at admissible pairs only:
+    an inadmissible pair whose sum overflows is stored, not refused."""
+    raw = {
+        "states": ["absorb", "work"],
+        "actions": ["a0", "a1"],
+        "admissible": {"work": ["a0"]},
+        "rates": [
+            {"from": "work", "action": "a0", "to": "absorb", "rate": 4.0},
+            {"from": "work", "action": "a1", "to": "absorb", "rate": 1.7e308},
+        ],
+        "costs": [{"state": "work", "action": "a1", "rate": 1e308}],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = validate_model(raw)
+    assert model.costs[1, 1] == 1e308
+    raw["admissible"] = None
+    with pytest.raises(ModelError, match=r"\('work', 'a1'\) is beyond"):
+        validate_model(raw)
 
 
 def test_gen_two_state_matches_fixture():
@@ -488,10 +508,11 @@ def test_int_beyond_the_float_range_is_a_model_error(key, entry, message):
 
 
 @pytest.mark.parametrize("raw, message", OVERFLOWING_MODELS,
-                         ids=["total-rate", "weight"])
+                         ids=["total-rate", "total-plus-cost"])
 def test_rates_beyond_the_float_range_are_refused(raw, message):
-    """Every rate is finite, but a total rate or a state's weight would
-    overflow: the model is refused by name, without a warning."""
+    """Every rate is finite, but a total rate, or a pair's total rate plus
+    its cost rate, would overflow: the model is refused by name, without a
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ModelError) as err:

@@ -20,34 +20,6 @@ from riskctmdp.solver import (ValueFunction, bellman_apply,
 import exact
 
 
-def test_weight_two_state(two_state):
-    assert two_state.weight.tolist() == [1.0, 6.0]
-
-
-def test_weight_all_absorbing_zero_cost():
-    model = validate_model({"states": ["a", "b"], "actions": ["u"],
-                            "rates": [], "costs": []})
-    assert model.weight.tolist() == [1.0, 1.0]
-
-
-def test_weight_pure_birth(pure_birth):
-    w = pure_birth.weight
-    assert w[2] == 10.0  # 1 + 1 + 8
-    assert w.tolist() == [4.0, 6.0, 10.0, 18.0, 1.0]
-
-
-def test_weight_dominates_costs_and_rates(monotone_corpus):
-    for item in monotone_corpus[:25]:
-        model = item.model
-        w = model.weight
-        assert np.all(w >= 1.0)
-        max_total = np.where(model.admissible_mask, model.total_rates,
-                             0.0).max(axis=1)
-        for x in range(model.n_states):
-            for a in model.admissible[x]:
-                assert w[x] - model.costs[x, a] >= 1.0 + max_total[x] - 1e-12
-
-
 # rates and cost rates log-uniform over [1e-300, 1e308], and zeros
 _MAGNITUDES = st.one_of(st.just(0.0),
                         st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e))
@@ -74,14 +46,14 @@ def test_every_model_that_validates_reduces(arrays):
     """Whenever CtmdpModel accepts a model, the reduction builds its
     discrete-time model without a warning: every admissible cost factor
     is a float of at least 1 and every kernel row is stochastic, also
-    where a cost rate dwarfs 1 + max total rate and w - c cancels."""
+    where a cost rate dwarfs the total rate or q - c is a few ulps."""
     rates, costs, admissible = arrays
     n, m = costs.shape
     try:
         model = CtmdpModel(tuple(f"s{x}" for x in range(n)),
                            tuple(f"a{a}" for a in range(m)), admissible,
                            rates, costs)
-    except ModelError:  # a total rate or a weight beyond the float range
+    except ModelError:  # a total rate, or rate + cost, beyond the floats
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -102,8 +74,8 @@ _COST_SHARES = st.sampled_from([0.0, 0.0, 0.125, 0.5, 0.875, 1.0, 1.125, 2.0])
 def _models_and_weights(draw):
     """A CtmdpModel with up to 3 states and 2 actions, and a valid weight
     per pair, w >= q and w > c, as Fractions: the reduction's own (q where
-    c < q, else the paper's w(x)), the paper's w(x), or q or c plus a
-    drawn margin (positive where c >= q)."""
+    c < q, else None, exact.reduced_policy_value's identity row), the
+    paper's w(x), or q or c plus a drawn margin (positive where c >= q)."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rates = np.array(draw(st.lists(_RATES, min_size=n * m * n,
                                    max_size=n * m * n))).reshape(n, m, n)
@@ -127,10 +99,10 @@ def _models_and_weights(draw):
         paper = 1 + max(c.values()) + max(q.values())
         row = {}
         for a in admissible[x]:
-            if rule == "paper" or (rule == "reduction" and not c[a] < q[a]):
+            if rule == "paper":
                 row[a] = paper
             elif rule == "reduction":
-                row[a] = q[a]
+                row[a] = q[a] if c[a] < q[a] else None
             else:  # w > c needs a positive margin where c >= q
                 low = 0 if c[a] < q[a] else 1
                 margin = Fraction(draw(st.integers(low, 3)),
@@ -147,7 +119,8 @@ def test_every_valid_weight_keeps_every_policy_value(drawn):
     package's reduction: with any weight w >= q, w > c per pair, the
     kernel rates/w + (1 - q/w) I and the step factor w/(w - c) give every
     stationary policy the value of the jump process, infinite states
-    included."""
+    included; so does the reduction's rule, the jump chain where c < q
+    and an identity row at factor 2 (c > 0) or 1 (c = 0) elsewhere."""
     model, weight = drawn
     for choice in itertools.product(*model.admissible):
         assert exact.reduced_policy_value(model, choice, weight) \
@@ -171,28 +144,21 @@ def _edge_model():
                       [[0, 1], [0, 1], [0, 1], [0, 1], [0]], rates, costs)
 
 
-def test_pairs_without_a_jump_below_their_cost_keep_the_paper_weight():
-    """Pairs with q = 0 (at c = 0 and at c > 0) and pairs with c >= q keep
-    the paper's row: rates/w(x), the leftover mass 1 - q/w(x) at x, and
-    the step cost ln(w/(w - c)) as log1p(c/(w - c)), the slack floored
-    at 1; inadmissible pairs keep an identity row at zero cost."""
+def test_pairs_without_a_jump_below_their_cost_are_identity_rows():
+    """Pairs with q = 0 (at c = 0 and at c > 0) and pairs with c >= q get
+    an identity row: at the step factor exactly 2 where the pair is
+    admissible with c > 0, at exactly 1 where q = c = 0 and where the pair
+    is inadmissible."""
     model = _edge_model()
     dtmdp = build_equivalent_dtmdp(model)
-    w = model.weight
-    for x, a in ((0, 0), (1, 0), (2, 0), (3, 0)):
-        want = model.rates[x, a] / w[x]
-        want[x] = 1.0 - model.total_rates[x, a] / w[x]
-        assert dtmdp.kernel[x, a].tolist() == want.tolist()
-        c = model.costs[x, a]
-        assert dtmdp.step_cost[x, a] == math.log1p(c / max(w[x] - c, 1.0))
-        assert dtmdp.step_cost[x, a] == pytest.approx(
-            math.log(w[x] / (w[x] - c)), rel=1e-15, abs=0.0)
-    assert dtmdp.kernel[0, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
-    assert dtmdp.step_cost[0, 0] == 0.0
-    assert dtmdp.kernel[1, 0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
-    assert dtmdp.step_cost[1, 0] == math.log1p(2.0 / (w[1] - 2.0)) > 0.0
-    assert dtmdp.kernel[4, 1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
-    assert dtmdp.step_cost[4, 1] == 0.0
+    eye = np.eye(model.n_states)
+    for x, a, factor in ((0, 0, 1.0), (1, 0, 2.0), (2, 0, 2.0), (3, 0, 2.0),
+                         (4, 1, 1.0)):
+        assert dtmdp.kernel[x, a].tolist() == eye[x].tolist()
+        assert math.exp(dtmdp.step_cost[x, a]) == factor
+        assert dtmdp.step_weights[x, a].tolist() == (factor * eye[x]).tolist()
+    assert dtmdp.step_cost[1, 0] == math.log(2.0)
+    assert dtmdp.step_cost[0, 0] == dtmdp.step_cost[4, 1] == 0.0
 
 
 def test_pairs_with_a_jump_below_their_cost_are_the_jump_chain():
@@ -299,37 +265,34 @@ def test_reduction_preserves_index_spaces(monotone_corpus):
     assert item.dtmdp.admissible == item.model.admissible
 
 
-def _pair_weight(model, x, a):
-    """The weight the reduction gives the admissible pair (x, a): its total
-    rate q where its cost rate is below q, else CtmdpModel.weight[x]."""
-    q, c = model.total_rates[x, a], model.costs[x, a]
-    return q if c < q else model.weight[x]
-
-
-def _per_action_quantities(model, dtmdp, v):
-    """Continuous-time residual and one-step values action by action."""
-    rows = []
-    for x in range(model.n_states):
-        for a in model.admissible[x]:
-            ct = (model.costs[x, a] * v[x] + model.rates[x, a] @ v
-                  - model.total_rates[x, a] * v[x])
-            step = math.exp(dtmdp.step_cost[x, a]) * (dtmdp.kernel[x, a] @ v)
-            w = _pair_weight(model, x, a)
-            rows.append((x, a, ct, (w - model.costs[x, a]) * (step - v[x])))
-    return rows
-
-
 def test_residual_equivalence_identity(monotone_corpus):
-    """The continuous-time residual equals (w - c) times the one-step gap,
-    w the pair's weight, action by action, so solving one equation is
-    solving the other."""
+    """At a jump pair (c < q) and at a pair with q = c = 0 the
+    continuous-time residual equals (q - c) times the one-step gap, action
+    by action, so solving one equation is solving the other.  At every
+    other admissible pair both are positive, whatever v >= 1: neither
+    equation has a finite solution there."""
     rng = np.random.default_rng(4)
-    for item in monotone_corpus[:25]:
-        n = item.model.n_states
+    models = [(item.model, item.dtmdp) for item in monotone_corpus[:25]]
+    edge = _edge_model()
+    models.append((edge, build_equivalent_dtmdp(edge)))
+    pairs = {"scaled": 0, "positive": 0}
+    for model, dtmdp in models:
+        n = model.n_states
         for v in [np.ones(n), 1.0 + rng.random(n) * 2.0]:
-            for x, a, ct, scaled in _per_action_quantities(item.model,
-                                                           item.dtmdp, v):
-                assert ct == pytest.approx(scaled, rel=1e-9, abs=1e-9)
+            for x in range(n):
+                for a in model.admissible[x]:
+                    q, c = model.total_rates[x, a], model.costs[x, a]
+                    ct = c * v[x] + model.rates[x, a] @ v - q * v[x]
+                    gap = (math.exp(dtmdp.step_cost[x, a])
+                           * (dtmdp.kernel[x, a] @ v) - v[x])
+                    if c < q or q == c == 0.0:
+                        pairs["scaled"] += 1
+                        assert ct == pytest.approx((q - c) * gap, rel=1e-9,
+                                                   abs=1e-9)
+                    else:
+                        pairs["positive"] += 1
+                        assert ct > 0.0 and gap > 0.0, (x, a, ct, gap)
+    assert pairs["scaled"] and pairs["positive"]
 
 
 def test_solution_transfer_on_solved_values(monotone_corpus):

@@ -254,6 +254,15 @@ class TestChainEstimates:
         assert est.truncated_fraction == 0.0
         assert est.lower_bound_mean == 1.0
 
+    def test_a_cost_rate_equal_to_the_total_rate_is_infinite(self):
+        """At q = c = 1 the reduction gives 'work' an identity row at the
+        step factor 2: every path stays and the mean is infinite."""
+        model = gen_example("two_state", {"q": 1, "c": 1}, 0)
+        est = estimate_dtmdp_value_mc(build_equivalent_dtmdp(model),
+                                      only_policy(model), 1, 200, 0)
+        assert not est.mean.is_finite
+        assert est.truncated_fraction == 0.0
+
     def test_chain_agrees_with_linear_evaluation(self, monotone_corpus):
         item = next(it for it in monotone_corpus if it.n_states == 4
                     and it.report.value.finite_mask.all())

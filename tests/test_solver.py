@@ -132,14 +132,26 @@ class TestValueIterate:
         assert report.infinite_states == frozenset({0})
         assert math.isinf(report.value[0])
 
-    def test_divergence_growth_factor(self):
-        # weight 1 + k, so each sweep multiplies by (1 + k)
-        k = 2.0
+    @pytest.mark.parametrize("c", [1.0, 1.0 + 2 ** -52, 3.0])
+    def test_a_cost_rate_at_least_the_total_rate_is_infinite_by_sweep_2(
+            self, c):
+        """At q = 1 <= c, 'work' is an identity row at the step factor 2,
+        so the growth test of sweep 2 shows it infinite, and value
+        iteration stops converged, also at c = q exactly."""
+        model = gen_example("two_state", {"q": 1, "c": c}, 0)
+        report = value_iterate(build_equivalent_dtmdp(model))
+        assert report.converged and report.iterations <= 2
+        assert report.infinite_states == frozenset({1})
+
+    @pytest.mark.parametrize("k", [1e-300, 2.0, 1e308])
+    def test_divergence_growth_factor(self, k):
+        # an identity row at the step factor 2 whatever the cost rate k,
+        # so each sweep doubles exactly
         dtmdp = build_equivalent_dtmdp(_stuck_model(cost_rate=k))
         v = ValueFunction.constant(1)
         for n in range(1, 8):
             v = bellman_apply(dtmdp, v)[0]
-            assert v.values[0] == pytest.approx((1 + k) ** n, rel=1e-12)
+            assert v.values[0] == 2.0 ** n
 
     def test_infinity_propagates_to_feeding_states(self):
         raw = {"states": ["a", "b"], "actions": ["a0"],
